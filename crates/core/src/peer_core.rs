@@ -238,8 +238,10 @@ impl Core {
         m.incr(mnames::COORD_ACTIVATIONS);
         m.set_max(mnames::COORD_MAX_WAVE, u64::from(wave));
         m.set(mnames::COORD_MSGS_AT_ACTIVATION, msgs);
-        m.set(mnames::COORD_PROBE_WAVES_AT_ACTIVATION, probe_waves);
-        m.set(mnames::COORD_LAST_ACTIVATION_NANOS, now);
+        // Both gauges are monotone in dispatch order, so `set_max` records
+        // the latest value and merges as a maximum across shard sinks.
+        m.set_max(mnames::COORD_PROBE_WAVES_AT_ACTIVATION, probe_waves);
+        m.set_max(mnames::COORD_LAST_ACTIVATION_NANOS, now);
     }
 
     /// Install (or DCoP-merge) an assignment and start streaming.

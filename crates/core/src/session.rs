@@ -14,6 +14,7 @@
 //! assert!(outcome.complete);
 //! ```
 
+use std::any::Any;
 use std::sync::Arc;
 
 use mss_media::buffer::OverrunGate;
@@ -22,7 +23,7 @@ use mss_sim::event::ActorId;
 use mss_sim::link::{JitterLatency, LinkModel};
 use mss_sim::prelude::*;
 use mss_sim::shard::ShardedWorld;
-use mss_sim::world::World;
+use mss_sim::world::{ActorGroup, World};
 
 use crate::baselines::{BroadcastPeer, CentralizedPeer, SchedulePeer};
 use crate::config::{Protocol, SessionConfig};
@@ -66,15 +67,15 @@ pub enum Hosting {
     Solo,
 }
 
-/// How a session obtains its link model. A plain instance is enough for
-/// the single world; the sharded world needs one instance *per shard*
-/// (so link state stays thread-local), hence the factory form. The
-/// default link is stateless and supports both.
+/// How a session obtains its link model. A plain instance serves one
+/// shard; more shards need one instance *per shard* (so link state stays
+/// thread-local), hence the factory form. The default link is stateless
+/// and supports both.
 enum LinkSpec {
     /// The built-in 1–2 ms jitter link.
     Default,
-    /// A caller-supplied instance ([`Session::link`]): single-world only.
-    Instance(Box<dyn LinkModel>),
+    /// A caller-supplied instance ([`Session::link`]): one shard only.
+    Instance(Box<dyn LinkModel + Send>),
     /// A caller-supplied per-shard constructor ([`Session::link_factory`]).
     Factory(Box<dyn Fn() -> Box<dyn LinkModel + Send>>),
 }
@@ -87,29 +88,29 @@ fn default_link() -> JitterLatency {
 }
 
 impl LinkSpec {
-    /// The link instance for a single-world run (bit-for-bit the link
-    /// the seed used, for every spec form).
-    fn build_single(self) -> Box<dyn LinkModel> {
+    /// One link instance per shard.
+    ///
+    /// # Panics
+    /// If `shards > 1` and the spec is a single instance.
+    fn build(self, shards: usize) -> Vec<Box<dyn LinkModel + Send>> {
         match self {
-            LinkSpec::Default => Box::new(default_link()),
-            LinkSpec::Instance(link) => link,
-            LinkSpec::Factory(f) => f(),
+            LinkSpec::Instance(link) if shards == 1 => vec![link],
+            LinkSpec::Instance(_) => panic!(
+                "a sharded session needs a per-shard link: use Session::link_factory \
+                 (Session::link instances cannot be replicated across shards)"
+            ),
+            LinkSpec::Default => (0..shards).map(|_| Box::new(default_link()) as _).collect(),
+            LinkSpec::Factory(f) => (0..shards).map(|_| f()).collect(),
         }
     }
 
-    /// Per-shard link constructor, or the spec handed back untouched
-    /// when it cannot run sharded (an opaque instance, or a model with
-    /// zero lookahead) so a single-world fallback keeps the user's link.
-    fn build_factory(self) -> Result<Box<dyn Fn() -> Box<dyn LinkModel + Send>>, LinkSpec> {
-        let f: Box<dyn Fn() -> Box<dyn LinkModel + Send>> = match self {
-            LinkSpec::Default => Box::new(|| Box::new(default_link())),
-            spec @ LinkSpec::Instance(_) => return Err(spec),
-            LinkSpec::Factory(f) => f,
-        };
-        if f().min_latency() > SimDuration::ZERO {
-            Ok(f)
-        } else {
-            Err(LinkSpec::Factory(f))
+    /// True when the link can run on several shards: it can be
+    /// replicated, and its minimum latency gives a positive lookahead.
+    fn shardable(&self) -> bool {
+        match self {
+            LinkSpec::Default => true,
+            LinkSpec::Instance(_) => false,
+            LinkSpec::Factory(f) => f().min_latency() > SimDuration::ZERO,
         }
     }
 }
@@ -124,6 +125,16 @@ pub struct Session {
     limit: SimTime,
     hosting: Hosting,
     shards: usize,
+}
+
+/// A session's world, assembled but not yet run, and what reading its
+/// outcome needs.
+struct Assembled {
+    world: ShardedWorld<Msg>,
+    cfg: SessionConfig,
+    protocol: Protocol,
+    dir: Arc<Directory>,
+    limit: SimTime,
 }
 
 impl Session {
@@ -150,9 +161,9 @@ impl Session {
     }
 
     /// Replace the network model with a single instance. A session built
-    /// this way always runs in the single-threaded world (the instance
-    /// cannot be replicated per shard); use [`Session::link_factory`]
-    /// for sharded runs.
+    /// this way always runs on one shard (the instance cannot be
+    /// replicated per shard); use [`Session::link_factory`] for sharded
+    /// runs.
     pub fn link(mut self, link: impl LinkModel + 'static) -> Session {
         self.link = LinkSpec::Instance(Box::new(link));
         self
@@ -163,7 +174,7 @@ impl Session {
     /// stay thread-local; a single-world run calls it once. The model's
     /// [`LinkModel::min_latency`] must be positive for sharded execution
     /// (it becomes the synchronization lookahead).
-    pub fn link_factory<L: LinkModel + Send + 'static>(
+    pub fn link_factory<L: LinkModel + 'static>(
         mut self,
         factory: impl Fn() -> L + 'static,
     ) -> Session {
@@ -171,11 +182,11 @@ impl Session {
         self
     }
 
-    /// Split the session across `shards` worker threads (1 = the
-    /// classic single-threaded world, the default). Sharded runs are
-    /// deterministic per `(seed, shards)` pair but not stream-identical
-    /// across different shard counts; `run()` falls back to the single
-    /// world when the link cannot be sharded (see [`Session::link`]).
+    /// Split the session across `shards` worker threads (1, the default,
+    /// is one [`World`] in the calling thread). Runs are deterministic
+    /// per `(seed, shards)` pair; different shard counts give different
+    /// but equally valid event streams. `run()` stays on one shard when
+    /// the link cannot be sharded (see [`Session::link`]).
     pub fn shards(mut self, shards: usize) -> Session {
         self.shards = shards.max(1);
         self
@@ -206,24 +217,66 @@ impl Session {
         self
     }
 
-    /// Run to quiescence and summarize. Dispatches to the sharded world
-    /// when more than one shard was requested and the link supports it,
-    /// and to the classic single-threaded world otherwise — so existing
-    /// callers keep the bit-for-bit single-world event stream.
+    /// Run to quiescence and summarize, on the requested number of
+    /// shards when the link supports it and on one shard otherwise.
     pub fn run(self) -> SessionOutcome {
-        if self.shards > 1 {
-            match self.try_sharded() {
-                Ok(run) => return run.0,
-                Err(single) => return single.run_with_world().0,
-            }
+        if self.shards > 1 && self.link.shardable() {
+            self.run_with_sharded_world().0
+        } else {
+            self.run_with_world().0
         }
-        self.run_with_world().0
     }
 
-    /// Run and also hand back the world for deeper inspection. Always
-    /// uses the single-threaded world (ignoring [`Session::shards`]);
-    /// use [`Session::run_with_sharded_world`] for the parallel kernel.
+    /// Run on one shard — a single [`World`], whatever
+    /// [`Session::shards`] says — and hand back the world for deeper
+    /// inspection. `MSS_TRACE` in the environment traces every event.
     pub fn run_with_world(self) -> (SessionOutcome, World<Msg>, Vec<PeerReport>) {
+        let Assembled {
+            world,
+            cfg,
+            protocol,
+            dir,
+            limit,
+        } = self.assemble(1);
+        let mut world = world.into_shards().pop().expect("one shard");
+        if std::env::var_os("MSS_TRACE").is_some() {
+            world.set_trace(true);
+        }
+        world.run_until(limit);
+        let reports = reports(&world, protocol, &dir);
+        let outcome = summarize(&world, protocol, &cfg, &dir, &reports);
+        (outcome, world, reports)
+    }
+
+    /// Run on [`Session::shards`] shards and hand back the sharded world
+    /// for deeper inspection. One shard dispatches exactly the event
+    /// stream of [`Session::run_with_world`].
+    ///
+    /// # Panics
+    /// With more than one shard, if the session's link was set with
+    /// [`Session::link`] (an un-replicable instance) or has zero minimum
+    /// latency — build it with [`Session::link_factory`] instead.
+    pub fn run_with_sharded_world(self) -> (SessionOutcome, ShardedWorld<Msg>, Vec<PeerReport>) {
+        let shards = self.shards;
+        let Assembled {
+            mut world,
+            cfg,
+            protocol,
+            dir,
+            limit,
+        } = self.assemble(shards);
+        world.run_until(limit);
+        let reports = reports(&world, protocol, &dir);
+        let outcome = summarize(&world, protocol, &cfg, &dir, &reports);
+        (outcome, world, reports)
+    }
+
+    /// Build the session's world on `shards` shards. Peers are
+    /// block-partitioned into contiguous id ranges, one [`Plane`] slab
+    /// (or solo-actor range) per shard; the leaf and the fault injector
+    /// live on shard 0. The synchronization lookahead is the link
+    /// model's [`LinkModel::min_latency`].
+    fn assemble(self, shards: usize) -> Assembled {
         let Session {
             cfg,
             protocol,
@@ -234,9 +287,14 @@ impl Session {
             hosting,
             shards: _,
         } = self;
-        let link = link.build_single();
-        let mut world: World<Msg> = World::new(link, cfg.seed);
         let n = cfg.n;
+        let shards = shards.clamp(1, n.max(1));
+        let links = link.build(shards);
+        let lookahead = links[0].min_latency();
+        let mut links = links.into_iter();
+        let mut world: ShardedWorld<Msg> = ShardedWorld::new(shards, lookahead, cfg.seed, |_| {
+            links.next().expect("one link per shard")
+        });
         // Each data packet is at least one send + one delivery event, plus
         // per-peer timer churn; pre-reserving avoids repeated heap growth
         // in the event queue during the streaming phase.
@@ -245,148 +303,36 @@ impl Session {
             (0..n as u32).map(ActorId).collect(),
             ActorId(n as u32),
         ));
-        let peers = dir.peers();
-        match (hosting, protocol) {
-            (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => {
-                let members: Vec<DcopPeer> = peers
-                    .map(|me| DcopPeer::new(me, dir.clone(), cfg.clone()))
-                    .collect();
-                let first = world.add_group(n, Box::new(Plane::new(members)));
-                debug_assert_eq!(first, dir.actor_of(PeerId(0)));
-            }
-            (Hosting::Plane, Protocol::Tcop) => {
-                let members: Vec<TcopPeer> = peers
-                    .map(|me| TcopPeer::new(me, dir.clone(), cfg.clone()))
-                    .collect();
-                let first = world.add_group(n, Box::new(Plane::new(members)));
-                debug_assert_eq!(first, dir.actor_of(PeerId(0)));
-            }
-            _ => {
-                for me in peers {
-                    let id = world.add_actor(make_peer(protocol, me, dir.clone(), cfg.clone()));
-                    debug_assert_eq!(id, dir.actor_of(me));
-                }
-            }
-        }
-        let leaf_id = world.add_actor(Box::new(LeafActor::new(
-            cfg.clone(),
-            protocol,
-            dir.clone(),
-            gate,
-        )));
-        debug_assert_eq!(leaf_id, dir.leaf());
-        if !faults.is_empty() {
-            let faults = faults
-                .iter()
-                .map(|(at, p)| (*at, dir.actor_of(*p)))
-                .collect();
-            world.add_actor(Box::new(FaultInjector { faults }));
-        }
-        if std::env::var_os("MSS_TRACE").is_some() {
-            world.set_trace(true);
-        }
-        world.run_until(limit);
-
-        let reports = peer_reports(&world, protocol, &dir);
-        let outcome = summarize(&world, protocol, &cfg, &dir, &reports);
-        (outcome, world, reports)
-    }
-
-    /// Sharded run if the link supports it, or the session handed back
-    /// for a single-world fallback.
-    fn try_sharded(
-        mut self,
-    ) -> Result<(SessionOutcome, ShardedWorld<Msg>, Vec<PeerReport>), Box<Session>> {
-        match std::mem::replace(&mut self.link, LinkSpec::Default).build_factory() {
-            Ok(f) => {
-                self.link = LinkSpec::Factory(f);
-                Ok(self.run_with_sharded_world())
-            }
-            Err(spec) => {
-                self.link = spec;
-                Err(Box::new(self))
-            }
-        }
-    }
-
-    /// Run on the sharded parallel kernel and hand back the sharded
-    /// world for deeper inspection.
-    ///
-    /// Peers are block-partitioned into contiguous id ranges, one
-    /// [`Plane`] slab (or solo-actor range) per shard; the leaf and the
-    /// fault injector live on shard 0. The synchronization lookahead is
-    /// the link model's [`LinkModel::min_latency`].
-    ///
-    /// # Panics
-    /// If the session's link was set with [`Session::link`] (an
-    /// un-replicable instance) or has zero minimum latency — build it
-    /// with [`Session::link_factory`] instead.
-    pub fn run_with_sharded_world(self) -> (SessionOutcome, ShardedWorld<Msg>, Vec<PeerReport>) {
-        let Session {
-            cfg,
-            protocol,
-            link,
-            gate,
-            faults,
-            limit,
-            hosting,
-            shards,
-        } = self;
-        let n = cfg.n;
-        let shards = shards.clamp(1, n.max(1));
-        let factory: Box<dyn Fn() -> Box<dyn LinkModel + Send>> = match link {
-            LinkSpec::Instance(_) => panic!(
-                "a sharded session needs a per-shard link: use Session::link_factory \
-                 (Session::link instances cannot be replicated across shards)"
-            ),
-            LinkSpec::Default => Box::new(|| Box::new(default_link())),
-            LinkSpec::Factory(f) => f,
-        };
-        let lookahead = factory().min_latency();
-        assert!(
-            shards == 1 || lookahead > SimDuration::ZERO,
-            "sharded session link has zero min_latency — no conservative lookahead exists"
-        );
-        let mut world: ShardedWorld<Msg> =
-            ShardedWorld::new(shards, lookahead, cfg.seed, |_k| factory());
-        world.reserve_events(cfg.content.packets as usize * 2 + n * 8);
-        let dir = Arc::new(Directory::new(
-            (0..n as u32).map(ActorId).collect(),
-            ActorId(n as u32),
-        ));
         // Contiguous block partition: shard k hosts peers
-        // [starts[k], starts[k+1]); global ids stay dense because the
-        // blocks are registered in ascending order.
+        // [starts[k], starts[k+1]), never empty since shards <= n; global
+        // ids stay dense because the blocks are registered in ascending
+        // order.
         let starts = shard_blocks(n, shards);
         for k in 0..shards {
             let block = starts[k]..starts[k + 1];
-            if block.is_empty() {
-                continue;
-            }
             let members = block.clone().map(|p| PeerId(p as u32));
-            match (hosting, protocol) {
-                (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => {
-                    let members: Vec<DcopPeer> = members
+            let group: Box<dyn ActorGroup<Msg>> = match (hosting, protocol) {
+                (Hosting::Plane, Protocol::Dcop | Protocol::Unicast) => Box::new(Plane::new(
+                    members
                         .map(|me| DcopPeer::new(me, dir.clone(), cfg.clone()))
-                        .collect();
-                    let first = world.add_group(k, block.len(), Box::new(Plane::new(members)));
-                    debug_assert_eq!(first, dir.actor_of(PeerId(block.start as u32)));
-                }
-                (Hosting::Plane, Protocol::Tcop) => {
-                    let members: Vec<TcopPeer> = members
+                        .collect(),
+                )),
+                (Hosting::Plane, Protocol::Tcop) => Box::new(Plane::new(
+                    members
                         .map(|me| TcopPeer::new(me, dir.clone(), cfg.clone()))
-                        .collect();
-                    let first = world.add_group(k, block.len(), Box::new(Plane::new(members)));
-                    debug_assert_eq!(first, dir.actor_of(PeerId(block.start as u32)));
-                }
+                        .collect(),
+                )),
                 _ => {
                     for me in members {
                         let id =
                             world.add_actor(k, make_peer(protocol, me, dir.clone(), cfg.clone()));
                         debug_assert_eq!(id, dir.actor_of(me));
                     }
+                    continue;
                 }
-            }
+            };
+            let first = world.add_group(k, block.len(), group);
+            debug_assert_eq!(first, dir.actor_of(PeerId(block.start as u32)));
         }
         let leaf_id = world.add_actor(
             0,
@@ -400,12 +346,13 @@ impl Session {
                 .collect();
             world.add_actor(0, Box::new(FaultInjector { faults }));
         }
-        world.run_until(limit);
-
-        let reports = sharded_peer_reports(&world, protocol, &dir);
-        let leaf: &LeafActor = world.actor_as(dir.leaf()).expect("leaf actor");
-        let outcome = summarize_parts(world.metrics(), leaf, protocol, &cfg, &reports);
-        (outcome, world, reports)
+        Assembled {
+            world,
+            cfg,
+            protocol,
+            dir,
+            limit,
+        }
     }
 }
 
@@ -427,7 +374,7 @@ pub fn shard_blocks(n: usize, shards: usize) -> Vec<usize> {
 
 /// Downcast a hosted contents peer (behind its [`std::any::Any`] face,
 /// whether solo- or plane-hosted) to its report.
-pub fn report_from_any(any: &dyn std::any::Any, protocol: Protocol) -> Option<PeerReport> {
+pub fn report_from_any(any: &dyn Any, protocol: Protocol) -> Option<PeerReport> {
     match protocol {
         Protocol::Dcop | Protocol::Unicast => any.downcast_ref::<DcopPeer>().map(|p| p.report()),
         Protocol::Tcop => any.downcast_ref::<TcopPeer>().map(|p| p.report()),
@@ -461,17 +408,33 @@ pub fn make_peer(
     }
 }
 
+/// What a session reads from a finished world, single or sharded.
+trait Finished {
+    fn actor(&self, id: ActorId) -> Option<&dyn Any>;
+    fn sink(&self) -> &Metrics;
+}
+
+impl Finished for World<Msg> {
+    fn actor(&self, id: ActorId) -> Option<&dyn Any> {
+        self.actor_any(id)
+    }
+    fn sink(&self) -> &Metrics {
+        self.metrics()
+    }
+}
+
+impl Finished for ShardedWorld<Msg> {
+    fn actor(&self, id: ActorId) -> Option<&dyn Any> {
+        self.actor_any(id)
+    }
+    fn sink(&self) -> &Metrics {
+        self.metrics()
+    }
+}
+
 /// Extract every contents peer's report from a finished world.
 pub fn peer_reports(world: &World<Msg>, protocol: Protocol, dir: &Directory) -> Vec<PeerReport> {
-    dir.peers()
-        .map(|p| {
-            let id = dir.actor_of(p);
-            world
-                .actor_any(id)
-                .and_then(|a| report_from_any(a, protocol))
-                .expect("peer type")
-        })
-        .collect()
+    reports(world, protocol, dir)
 }
 
 /// Extract every contents peer's report from a finished sharded world.
@@ -480,11 +443,14 @@ pub fn sharded_peer_reports(
     protocol: Protocol,
     dir: &Directory,
 ) -> Vec<PeerReport> {
+    reports(world, protocol, dir)
+}
+
+fn reports(world: &impl Finished, protocol: Protocol, dir: &Directory) -> Vec<PeerReport> {
     dir.peers()
         .map(|p| {
-            let id = dir.actor_of(p);
             world
-                .actor_any(id)
+                .actor(dir.actor_of(p))
                 .and_then(|a| report_from_any(a, protocol))
                 .expect("peer type")
         })
@@ -516,26 +482,20 @@ pub fn rounds_of_metrics(m: &Metrics, protocol: Protocol) -> u32 {
     }
 }
 
+/// Distill the outcome from a finished world: its (merged) metrics, the
+/// leaf, and the peer reports.
 fn summarize(
-    world: &World<Msg>,
+    world: &impl Finished,
     protocol: Protocol,
     cfg: &SessionConfig,
     dir: &Directory,
     reports: &[PeerReport],
 ) -> SessionOutcome {
-    let leaf: &LeafActor = world.actor_as(dir.leaf()).expect("leaf actor");
-    summarize_parts(world.metrics(), leaf, protocol, cfg, reports)
-}
-
-/// Distill the outcome from the pieces both kernels produce: the merged
-/// metrics, the finished leaf, and the peer reports.
-fn summarize_parts(
-    m: &Metrics,
-    leaf: &LeafActor,
-    protocol: Protocol,
-    cfg: &SessionConfig,
-    reports: &[PeerReport],
-) -> SessionOutcome {
+    let m = world.sink();
+    let leaf: &LeafActor = world
+        .actor(dir.leaf())
+        .and_then(|a| a.downcast_ref())
+        .expect("leaf actor");
     let packet_bits = (cfg.content.packet_bytes * 8) as f64;
     let analytic_bps: f64 = reports
         .iter()

@@ -143,3 +143,23 @@ fn shard_blocks_partition_exactly() {
         assert!(max - min <= 1, "n={n} s={s}: uneven blocks {sizes:?}");
     }
 }
+
+#[test]
+fn gauges_read_the_same_on_every_shard_count() {
+    // `sync_nanos` and DCoP's `rounds` are gauges: merged across shard
+    // sinks they must be maxima, not sums that grow with the shard count.
+    for protocol in [Protocol::Dcop, Protocol::Tcop] {
+        for shards in [1usize, 2, 4] {
+            let (outcome, _, reports) = Session::new(SessionConfig::large(2000, 8, 42), protocol)
+                .shards(shards)
+                .run_with_sharded_world();
+            let active = || reports.iter().filter(|r| r.active);
+            let last = active().map(|r| r.activated_nanos).max().unwrap();
+            assert_eq!(outcome.sync_nanos, last, "{protocol:?} S={shards}");
+            if protocol == Protocol::Dcop {
+                let wave = active().filter_map(|r| r.wave).max().unwrap();
+                assert_eq!(outcome.rounds, wave, "{protocol:?} S={shards}");
+            }
+        }
+    }
+}

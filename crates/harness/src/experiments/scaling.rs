@@ -27,7 +27,7 @@ pub struct ScalePoint {
     pub protocol: Protocol,
     /// Population size.
     pub n: usize,
-    /// Shard count (1 = single-threaded reference kernel).
+    /// Shard count (1 = one `World` in the calling thread).
     pub shards: usize,
     /// Events dispatched over the whole run.
     pub events: u64,

@@ -10,8 +10,9 @@
 //! - [`event`]: a deterministic `(time, sequence)`-ordered event queue,
 //! - [`world`]: the actor scheduler with timers and crash-stop fault
 //!   injection,
-//! - [`shard`]: a sharded parallel world running the same actors across
-//!   threads under conservative time-window synchronization,
+//! - [`shard`]: a sharded parallel world — one [`world::World`] per
+//!   shard, each on its own thread, under conservative time-window
+//!   synchronization,
 //! - [`link`]: pluggable network models (fixed latency, jitter,
 //!   i.i.d. and Gilbert–Elliott bursty loss, bandwidth queueing),
 //! - [`rng`]: a splittable PCG generator so runs are bit-reproducible,

@@ -26,7 +26,7 @@ pub enum LinkVerdict {
 }
 
 /// A (possibly stateful) model of the network between two actors.
-pub trait LinkModel {
+pub trait LinkModel: Send {
     /// Decide the fate of a `bytes`-sized message sent `from → to` at `now`.
     fn process(
         &mut self,

@@ -14,7 +14,9 @@
 //!
 //! Because the intern table is global, the same name maps to the same
 //! slot in every sink, which makes [`Metrics::merge`] a plain slot-wise
-//! addition — including across threads.
+//! operation — including across threads. Counters add; gauges written
+//! with [`Metrics::set_max_id`] are marked and merge as maxima, so a
+//! running maximum stays a maximum across shards and worker sinks.
 
 use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
@@ -124,6 +126,8 @@ fn lookup(name: &str) -> Option<MetricId> {
 #[derive(Default)]
 pub struct Metrics {
     counters: Vec<Option<u64>>,
+    /// Slots written by [`Metrics::set_max_id`]: gauges, merged as maxima.
+    maxed: Vec<bool>,
     hists: Vec<Option<Histogram>>,
 }
 
@@ -163,11 +167,21 @@ impl Metrics {
         *slot(&mut self.counters, id) = Some(v);
     }
 
-    /// Raise the counter in slot `id` to `v` if larger (running maximum).
+    /// Raise the counter in slot `id` to `v` if larger (running maximum),
+    /// and mark the slot a gauge that [`Metrics::merge`] takes the
+    /// maximum of.
     #[inline]
     pub fn set_max_id(&mut self, id: MetricId, v: u64) {
         let s = slot(&mut self.counters, id);
         *s = Some(s.map_or(v, |c| c.max(v)));
+        self.mark_max(id.index());
+    }
+
+    fn mark_max(&mut self, i: usize) {
+        if i >= self.maxed.len() {
+            self.maxed.resize(i + 1, false);
+        }
+        self.maxed[i] = true;
     }
 
     /// Current value of the counter in slot `id` (0 if never written).
@@ -259,16 +273,24 @@ impl Metrics {
         out.into_iter()
     }
 
-    /// Fold another sink into this one (counters add, histograms merge).
-    /// Pure slot-wise addition — ids are process-global, so no name
-    /// lookups or allocations happen here.
+    /// Fold another sink into this one: counters add, slots either sink
+    /// wrote with `set_max` take the maximum, histograms merge. Purely
+    /// slot-wise — ids are process-global, so no name lookups happen
+    /// here.
     pub fn merge(&mut self, other: &Metrics) {
         if self.counters.len() < other.counters.len() {
             self.counters.resize_with(other.counters.len(), || None);
         }
-        for (mine, theirs) in self.counters.iter_mut().zip(&other.counters) {
-            if let Some(v) = theirs {
-                *mine = Some(mine.unwrap_or(0) + v);
+        for (i, _) in other.maxed.iter().enumerate().filter(|m| *m.1) {
+            self.mark_max(i);
+        }
+        for (i, (mine, theirs)) in self.counters.iter_mut().zip(&other.counters).enumerate() {
+            if let Some(v) = *theirs {
+                let max = self.maxed.get(i).copied().unwrap_or(false);
+                *mine = Some(match *mine {
+                    Some(m) if max => m.max(v),
+                    m => m.unwrap_or(0) + v,
+                });
             }
         }
         if self.hists.len() < other.hists.len() {
@@ -287,6 +309,7 @@ impl Metrics {
     /// Drop all recorded data.
     pub fn clear(&mut self) {
         self.counters.clear();
+        self.maxed.clear();
         self.hists.clear();
     }
 }
@@ -356,6 +379,25 @@ mod tests {
         assert_eq!(a.counter("y"), 3);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.histogram("g").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn set_max_gauges_merge_as_maxima() {
+        let (mut total, mut a, mut b) = (Metrics::new(), Metrics::new(), Metrics::new());
+        a.set_max("gauge.peak", 7);
+        b.set_max("gauge.peak", 5);
+        a.add("count", 2);
+        b.add("count", 3);
+        total.merge(&a);
+        total.merge(&b);
+        assert_eq!(total.counter("gauge.peak"), 7, "a gauge merges as a max");
+        assert_eq!(total.counter("count"), 5, "a counter still adds");
+        // The mark travels with the merge: folding the total again keeps
+        // the maximum.
+        let mut again = Metrics::new();
+        again.merge(&total);
+        again.merge(&b);
+        assert_eq!(again.counter("gauge.peak"), 7);
     }
 
     #[test]

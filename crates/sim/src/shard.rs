@@ -3,18 +3,18 @@
 //!
 //! # Model
 //!
-//! A [`ShardedWorld`] partitions its actors into `S` shards. Each shard
-//! owns a full scheduler replica — calendar [`EventQueue`], timer table,
-//! link-model instance, forked RNG stream, and [`Metrics`] sink — and
-//! runs on its own `std::thread::scope` worker. Execution proceeds in
-//! *windows* of the classic conservative (lookahead) kind:
+//! A [`ShardedWorld`] is `S` ordinary [`World`]s, one per shard. Every
+//! shard world knows every actor id; the actors another shard hosts are
+//! `Remote` slots, and the world stages sends to them in per-shard
+//! outboxes instead of its own queue. Each shard runs on its own
+//! `std::thread::scope` worker, in *windows* of the classic conservative
+//! (lookahead) kind:
 //!
 //! 1. every worker posts the time of its earliest pending event; a
 //!    barrier reduction yields the global minimum `t0`;
 //! 2. every worker dispatches its local events in `[t0, t0 + L)`, where
 //!    the lookahead `L` is the minimum cross-shard link latency
-//!    ([`crate::link::LinkModel::min_latency`]) — sends to actors of
-//!    other shards are staged in per-destination outboxes;
+//!    ([`crate::link::LinkModel::min_latency`]);
 //! 3. outboxes are flushed through mpsc channels, a second barrier
 //!    closes the window, and every worker drains its inboxes, sorts the
 //!    arrivals by `(time, source shard, source sequence)` and pushes
@@ -25,80 +25,53 @@
 //! just processed: the per-shard event streams are causally complete.
 //! An arrival before the closed window's end would mean the link model
 //! overstated its `min_latency`; such events are clamped to the window
-//! boundary and counted (`shard.clamped_cross_events`), and the run
-//! fails hard after joining under `debug_assertions`.
+//! boundary and counted ([`CLAMPED_CROSS_EVENTS`]), and the run fails
+//! hard after joining under `debug_assertions` — the same policy a
+//! single world applies to a delivery into the past.
+//!
+//! One shard is simply one [`World`], run in the calling thread with the
+//! unforked master RNG: it dispatches exactly the event stream of a
+//! standalone world built the same way.
 //!
 //! # Determinism
 //!
 //! For a fixed `(seed, shard count)` pair runs are bit-for-bit
-//! reproducible: each shard draws from its own forked RNG stream, local
-//! dispatch order is the calendar queue's total `(time, seq)` order, and
-//! cross-shard arrivals are inserted in the deterministic
-//! `(time, src shard, src seq)` order — no outcome ever depends on
-//! thread scheduling. Runs with *different* shard counts are equally
-//! valid simulations but not stream-identical (RNG streams and tie-break
-//! interleavings differ); the single-threaded [`crate::world::World`]
-//! remains the reference kernel.
+//! reproducible: with `S ≥ 2` each shard draws from its own forked RNG
+//! stream, local dispatch order is the calendar queue's total
+//! `(time, seq)` order, and cross-shard arrivals are inserted in the
+//! deterministic `(time, src shard, src seq)` order — no outcome ever
+//! depends on thread scheduling. Different shard counts give equally
+//! valid simulations whose streams differ (RNG streams and tie-break
+//! interleavings differ).
 //!
 //! Crash-stop kills and `stop_world` are control signals, not timed
 //! events: they apply immediately in the calling shard and reach other
-//! shards at the next window boundary. This is deterministic per
-//! `(seed, shards)` but one documented divergence from the
-//! single-world kernel, where a kill is globally instantaneous.
+//! shards at the next window boundary.
+//!
+//! Metrics merge slot-wise across shards ([`Metrics::merge`]): counters
+//! add, and gauges written with `set_max` take the maximum.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
-use crate::event::{ActorId, Event, EventQueue, TimerId};
-use crate::link::{LinkModel, LinkVerdict};
-use crate::metrics::{self, Metrics};
+use crate::event::{ActorId, Event};
+use crate::link::LinkModel;
+use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::world::{
-    is_alive_idx, kill_idx, Actor, ActorGroup, Runtime, SimMessage, Slot, Taken, TimerTable,
-};
+use crate::world::{assert_no_clamps, Actor, ActorGroup, SimMessage, World};
 
-/// Metric counting cross-shard arrivals that violated the lookahead
-/// contract and were clamped to the window boundary (release builds
-/// only; a debug build fails the run instead).
+/// Metric counting deliveries that violated the lookahead contract and
+/// were clamped: into the sender's past, or across shards into an
+/// already-closed window (release builds only; a debug build fails the
+/// run instead).
 pub const CLAMPED_CROSS_EVENTS: &str = "shard.clamped_cross_events";
-
-/// Global-id → (shard, local index) routing table, shared read-only by
-/// every worker.
-#[derive(Clone, Default)]
-struct ShardMap {
-    shard_of: Vec<u32>,
-    local_of: Vec<u32>,
-}
-
-impl ShardMap {
-    fn push(&mut self, shard: u32, local: u32) -> ActorId {
-        let id = ActorId(self.shard_of.len() as u32);
-        self.shard_of.push(shard);
-        self.local_of.push(local);
-        id
-    }
-
-    #[inline]
-    fn shard(&self, id: ActorId) -> u32 {
-        self.shard_of[id.index()]
-    }
-
-    #[inline]
-    fn local(&self, id: ActorId) -> u32 {
-        self.local_of[id.index()]
-    }
-
-    fn len(&self) -> usize {
-        self.shard_of.len()
-    }
-}
 
 /// An event crossing shards: staged in the sender's outbox during a
 /// window, delivered into the destination queue at the boundary.
-enum Cross<M> {
+pub(crate) enum Cross<M> {
     /// A link-delivered message for an actor of the destination shard.
     /// `seq` is the sender shard's monotone cross-send counter — the
     /// deterministic tie-break for same-time arrivals.
@@ -112,29 +85,6 @@ enum Cross<M> {
     /// Crash-stop propagation (applied to the destination's liveness
     /// copy before any of the window's deliveries are queued).
     Kill(ActorId),
-}
-
-/// A cross-shard delivery after unboxing, carrying its sort key.
-struct Arrival<M> {
-    at: SimTime,
-    src: u32,
-    seq: u64,
-    from: ActorId,
-    to: ActorId,
-    msg: M,
-}
-
-/// Fold one dispatched event into a shard's running stream digest
-/// (an FNV-style 64-bit mix; order-sensitive by construction).
-#[inline]
-fn fold_digest(h: u64, at: SimTime, kind: u64, payload: u64) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut x = h ^ at.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    x = x.wrapping_mul(PRIME);
-    x ^= kind.rotate_left(17);
-    x = x.wrapping_mul(PRIME);
-    x ^= payload.rotate_left(31);
-    x.wrapping_mul(PRIME)
 }
 
 /// Per-shard load and synchronization counters (see
@@ -153,7 +103,7 @@ pub struct ShardStats {
     pub cross_sent: u64,
     /// Events still pending in this shard's queue.
     pub pending_events: usize,
-    /// Cross-shard arrivals clamped for violating the lookahead bound.
+    /// Deliveries clamped for violating the lookahead bound.
     pub clamped: u64,
 }
 
@@ -166,336 +116,20 @@ struct ShardSync {
     stop: AtomicBool,
 }
 
-/// One shard: a self-contained scheduler over a subset of the actors.
-struct Shard<M: SimMessage> {
-    index: u32,
-    map: Arc<ShardMap>,
-    /// Local slots; `globals[i]` is the world-wide id of local slot `i`.
-    actors: Vec<Slot<M>>,
-    globals: Vec<ActorId>,
-    groups: Vec<Option<Box<dyn ActorGroup<M>>>>,
-    /// Full-length liveness copy (all shards see all actors); remote
-    /// kills are applied at window boundaries.
-    alive: Vec<bool>,
-    queue: EventQueue<M>,
-    timers: TimerTable,
-    link: Box<dyn LinkModel + Send>,
-    rng: SimRng,
-    metrics: Metrics,
-    now: SimTime,
+/// One shard's side of the window protocol, kept across runs.
+#[derive(Default)]
+struct Lane {
     /// End (exclusive) of the last closed window: the floor below which
     /// a cross-shard arrival is a causality violation.
     floor: SimTime,
-    stop: bool,
-    started: usize,
-    dispatched: u64,
-    digest: u64,
-    /// Per-destination staging for cross-shard events (own index unused).
-    out: Vec<Vec<Cross<M>>>,
-    xseq: u64,
     windows: u64,
     cross_sent: u64,
-    clamped: u64,
 }
 
-/// The context handed to actor callbacks running inside a shard. Same
-/// contract as the single world's `Ctx`; sends that cross shards are
-/// staged instead of queued.
-struct ShardCtx<'a, M: SimMessage> {
-    shard: u32,
-    self_id: ActorId,
-    now: SimTime,
-    map: &'a ShardMap,
-    queue: &'a mut EventQueue<M>,
-    link: &'a mut (dyn LinkModel + Send),
-    rng: &'a mut SimRng,
-    metrics: &'a mut Metrics,
-    alive: &'a mut [bool],
-    timers: &'a mut TimerTable,
-    stop: &'a mut bool,
-    out: &'a mut [Vec<Cross<M>>],
-    xseq: &'a mut u64,
-    clamped: &'a mut u64,
-}
-
-impl<'a, M: SimMessage> ShardCtx<'a, M> {
-    /// Route one link verdict: local push or cross-shard staging. A
-    /// delivery into the past (a link model bug) is clamped to `now`
-    /// and counted; the run fails after joining under debug assertions.
-    #[inline]
-    fn route(&mut self, to: ActorId, verdict: LinkVerdict, msg: M) {
-        match verdict {
-            LinkVerdict::Deliver(mut at) => {
-                if at < self.now {
-                    *self.clamped += 1;
-                    at = self.now;
-                }
-                let dst = self.map.shard(to);
-                if dst == self.shard {
-                    self.queue.push(
-                        at,
-                        Event::Deliver {
-                            from: self.self_id,
-                            to,
-                            msg,
-                        },
-                    );
-                } else {
-                    let seq = *self.xseq;
-                    *self.xseq += 1;
-                    self.out[dst as usize].push(Cross::Deliver {
-                        at,
-                        seq,
-                        from: self.self_id,
-                        to,
-                        msg,
-                    });
-                }
-            }
-            LinkVerdict::Drop => {
-                self.metrics.incr_id(metrics::NET_DROPPED_ID);
-            }
-        }
-    }
-}
-
-impl<'a, M: SimMessage> Runtime<M> for ShardCtx<'a, M> {
-    #[inline]
-    fn id(&self) -> ActorId {
-        self.self_id
-    }
-
-    #[inline]
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn actor_count(&self) -> usize {
-        self.alive.len()
-    }
-
-    /// Liveness against this shard's copy: kills from other shards are
-    /// visible from the next window boundary on.
-    fn is_alive(&self, actor: ActorId) -> bool {
-        is_alive_idx(self.alive, actor.index())
-    }
-
-    fn send(&mut self, to: ActorId, msg: M) {
-        let bytes = msg.wire_size();
-        self.metrics.incr_id(metrics::NET_SENT_ID);
-        self.metrics
-            .add_id(metrics::NET_BYTES_SENT_ID, bytes as u64);
-        let verdict = self
-            .link
-            .process(self.now, self.self_id, to, bytes, self.rng);
-        self.route(to, verdict, msg);
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = self.timers.arm();
-        self.queue.push(
-            self.now + delay,
-            Event::Timer {
-                actor: self.self_id,
-                timer: id,
-                tag,
-            },
-        );
-        id
-    }
-
-    fn cancel_timer(&mut self, timer: TimerId) {
-        self.timers.take(timer);
-    }
-
-    #[inline]
-    fn rng(&mut self) -> &mut SimRng {
-        self.rng
-    }
-
-    #[inline]
-    fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
-    }
-
-    /// Crash-stop `actor`: immediate in this shard, boundary-applied in
-    /// the others (see module docs).
-    fn kill(&mut self, actor: ActorId) {
-        kill_idx(self.alive, actor.index());
-        let own = self.shard as usize;
-        for (dst, out) in self.out.iter_mut().enumerate() {
-            if dst != own {
-                out.push(Cross::Kill(actor));
-            }
-        }
-    }
-
-    /// Halt the run: this shard stops dispatching after the current
-    /// callback; the other shards finish their open window first.
-    fn stop_world(&mut self) {
-        *self.stop = true;
-    }
-
-    /// Batched send with one metrics update, same per-message link and
-    /// routing order as individual sends.
-    fn send_batch(&mut self, batch: &mut Vec<(ActorId, M)>) {
-        let count = batch.len() as u64;
-        let mut bytes = 0u64;
-        for (to, msg) in batch.drain(..) {
-            let size = msg.wire_size();
-            bytes += size as u64;
-            let verdict = self
-                .link
-                .process(self.now, self.self_id, to, size, self.rng);
-            self.route(to, verdict, msg);
-        }
-        self.metrics.add_id(metrics::NET_SENT_ID, count);
-        self.metrics.add_id(metrics::NET_BYTES_SENT_ID, bytes);
-    }
-}
-
-impl<M: SimMessage> Shard<M> {
-    fn ctx(&mut self, self_id: ActorId) -> ShardCtx<'_, M> {
-        ShardCtx {
-            shard: self.index,
-            self_id,
-            now: self.now,
-            map: &self.map,
-            queue: &mut self.queue,
-            link: self.link.as_mut(),
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            alive: &mut self.alive,
-            timers: &mut self.timers,
-            stop: &mut self.stop,
-            out: &mut self.out,
-            xseq: &mut self.xseq,
-            clamped: &mut self.clamped,
-        }
-    }
-
-    fn take_target(&mut self, local: usize) -> Option<Taken<M>> {
-        match self.actors.get_mut(local)? {
-            Slot::Solo(slot) => slot.take().map(Taken::Actor),
-            Slot::Member { group, member } => {
-                let (g, m) = (*group as usize, *member);
-                self.groups
-                    .get_mut(g)
-                    .and_then(Option::take)
-                    .map(|b| Taken::Group(g, m, b))
-            }
-        }
-    }
-
-    fn put_target(&mut self, local: usize, taken: Taken<M>) {
-        match taken {
-            Taken::Actor(a) => {
-                if let Some(Slot::Solo(slot)) = self.actors.get_mut(local) {
-                    *slot = Some(a);
-                }
-            }
-            Taken::Group(g, _, b) => self.groups[g] = Some(b),
-        }
-    }
-
-    fn actor_any(&self, local: usize) -> Option<&dyn Any> {
-        match self.actors.get(local)? {
-            Slot::Solo(slot) => slot.as_deref().map(|a| a.as_any()),
-            Slot::Member { group, member } => self
-                .groups
-                .get(*group as usize)
-                .and_then(|g| g.as_deref())
-                .map(|g| g.member_as_any(*member)),
-        }
-    }
-
-    /// Run pending `on_start` callbacks in local registration order.
-    fn start_pending(&mut self) {
-        while self.started < self.actors.len() {
-            let idx = self.started;
-            self.started += 1;
-            let gid = self.globals[idx];
-            if !is_alive_idx(&self.alive, gid.index()) {
-                continue;
-            }
-            let Some(mut taken) = self.take_target(idx) else {
-                continue;
-            };
-            match &mut taken {
-                Taken::Actor(a) => a.on_start(&mut self.ctx(gid)),
-                Taken::Group(_, m, b) => {
-                    let m = *m;
-                    b.on_start(&mut self.ctx(gid), m);
-                }
-            }
-            self.put_target(idx, taken);
-        }
-    }
-
-    /// Dispatch every local event at or before `end` (stops early on
-    /// `stop_world`).
-    fn dispatch_window(&mut self, end: SimTime) {
-        while !self.stop {
-            let Some((at, event)) = self.queue.pop_at_or_before(end) else {
-                break;
-            };
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            self.dispatched += 1;
-            match event {
-                Event::Deliver { from, to, msg } => {
-                    self.digest = fold_digest(
-                        self.digest,
-                        at,
-                        1,
-                        (u64::from(from.0) << 32) | u64::from(to.0),
-                    );
-                    if !is_alive_idx(&self.alive, to.index()) {
-                        self.metrics.incr_id(metrics::NET_TO_DEAD_ID);
-                        continue;
-                    }
-                    self.metrics.incr_id(metrics::NET_DELIVERED_ID);
-                    let local = self.map.local(to) as usize;
-                    let Some(mut taken) = self.take_target(local) else {
-                        continue;
-                    };
-                    match &mut taken {
-                        Taken::Actor(a) => a.on_message(&mut self.ctx(to), from, msg),
-                        Taken::Group(_, m, b) => {
-                            let m = *m;
-                            b.on_message(&mut self.ctx(to), m, from, msg);
-                        }
-                    }
-                    self.put_target(local, taken);
-                }
-                Event::Timer { actor, timer, tag } => {
-                    self.digest = fold_digest(self.digest, at, 2, (u64::from(actor.0) << 32) ^ tag);
-                    if !self.timers.take(timer) {
-                        continue;
-                    }
-                    if !is_alive_idx(&self.alive, actor.index()) {
-                        continue;
-                    }
-                    let local = self.map.local(actor) as usize;
-                    let Some(mut taken) = self.take_target(local) else {
-                        continue;
-                    };
-                    match &mut taken {
-                        Taken::Actor(a) => a.on_timer(&mut self.ctx(actor), timer, tag),
-                        Taken::Group(_, m, b) => {
-                            let m = *m;
-                            b.on_timer(&mut self.ctx(actor), m, timer, tag);
-                        }
-                    }
-                    self.put_target(local, taken);
-                }
-            }
-        }
-    }
-
+impl Lane {
     /// Flush staged cross-shard events, one batch per destination.
-    fn flush(&mut self, txs: &[Sender<Vec<Cross<M>>>]) {
-        for (dst, buf) in self.out.iter_mut().enumerate() {
+    fn flush<M: SimMessage>(&mut self, world: &mut World<M>, txs: &[Sender<Vec<Cross<M>>>]) {
+        for (dst, buf) in world.out.iter_mut().enumerate() {
             if !buf.is_empty() {
                 self.cross_sent += buf.len() as u64;
                 // A send can only fail if the destination worker already
@@ -509,82 +143,66 @@ impl<M: SimMessage> Shard<M> {
     /// Drain all inboxes and queue the arrivals in deterministic
     /// `(time, src shard, src seq)` order. Kills apply first; arrivals
     /// below the closed window's floor are clamped and counted.
-    fn drain(&mut self, rxs: &[Receiver<Vec<Cross<M>>>], inbox: &mut Vec<Arrival<M>>) {
-        debug_assert!(inbox.is_empty());
+    fn drain<M: SimMessage>(
+        &self,
+        world: &mut World<M>,
+        rxs: &[Receiver<Vec<Cross<M>>>],
+        inbox: &mut Vec<(SimTime, usize, u64, ActorId, ActorId, M)>,
+    ) {
         for (src, rx) in rxs.iter().enumerate() {
-            while let Ok(batch) = rx.try_recv() {
-                for cross in batch {
-                    match cross {
-                        Cross::Kill(actor) => kill_idx(&mut self.alive, actor.index()),
-                        Cross::Deliver {
-                            at,
-                            seq,
-                            from,
-                            to,
-                            msg,
-                        } => inbox.push(Arrival {
-                            at,
-                            src: src as u32,
-                            seq,
-                            from,
-                            to,
-                            msg,
-                        }),
-                    }
+            for cross in rx.try_iter().flatten() {
+                match cross {
+                    Cross::Kill(actor) => world.kill(actor),
+                    Cross::Deliver {
+                        at,
+                        seq,
+                        from,
+                        to,
+                        msg,
+                    } => inbox.push((at, src, seq, from, to, msg)),
                 }
             }
         }
-        inbox.sort_by_key(|a| (a.at, a.src, a.seq));
-        for a in inbox.drain(..) {
-            let mut at = a.at;
+        inbox.sort_by_key(|a| (a.0, a.1, a.2));
+        for (mut at, _, _, from, to, msg) in inbox.drain(..) {
             if at < self.floor {
-                self.clamped += 1;
+                world.metrics.incr(CLAMPED_CROSS_EVENTS);
                 at = self.floor;
             }
-            self.queue.push(
-                at,
-                Event::Deliver {
-                    from: a.from,
-                    to: a.to,
-                    msg: a.msg,
-                },
-            );
+            world.queue.push(at, Event::Deliver { from, to, msg });
         }
     }
 
     /// The worker loop: see the module docs for the window algorithm.
-    fn run_worker(
+    fn run<M: SimMessage>(
         &mut self,
+        world: &mut World<M>,
         limit: SimTime,
         lookahead: SimDuration,
-        single: bool,
         sync: &ShardSync,
         txs: Vec<Sender<Vec<Cross<M>>>>,
         rxs: Vec<Receiver<Vec<Cross<M>>>>,
     ) {
-        let mut inbox: Vec<Arrival<M>> = Vec::new();
+        let shard = world.shard as usize;
+        let mut inbox = Vec::new();
         // Wave −1: `on_start` callbacks run before any event, and their
         // sends are exchanged so the first window's queues are complete.
-        self.start_pending();
-        self.flush(&txs);
+        world.start_pending();
+        self.flush(world, &txs);
         sync.barrier.wait();
-        self.drain(&rxs, &mut inbox);
+        self.drain(world, &rxs, &mut inbox);
         loop {
             // Publish a pending halt only here, strictly between the
             // window-closing barrier below and the window-opening one:
             // no worker can reach this store for window k+1 until every
             // worker has both read the flag for window k and closed k,
             // so all workers read the same value and take the same
-            // branch every iteration. (A mid-window store — the old
-            // code stored right after `dispatch_window` — could be read
-            // one iteration "early" by a sibling that was descheduled
-            // just past the opening barrier; that sibling broke out
-            // while the stopper parked on the closing barrier forever.)
-            if self.stop {
+            // branch every iteration.
+            if world.stop {
                 sync.stop.store(true, Ordering::Release);
             }
-            let next = self.queue.peek_time().map_or(u64::MAX, |t| t.0);
-            sync.next[self.index as usize].store(next, Ordering::Release);
+            let next = world.queue.peek_time().map_or(u64::MAX, |t| t.0);
+            sync.next[shard].store(next, Ordering::Release);
             sync.barrier.wait();
             if sync.stop.load(Ordering::Acquire) {
                 break;
@@ -598,36 +216,31 @@ impl<M: SimMessage> Shard<M> {
             if t0 == u64::MAX || t0 > limit.0 {
                 break;
             }
-            let end = if single {
-                limit
-            } else {
-                // Process strictly before t0 + L (inclusive bound is
-                // t0 + L − 1), never past the caller's limit.
-                SimTime(
-                    t0.saturating_add(lookahead.as_nanos())
-                        .saturating_sub(1)
-                        .min(limit.0),
-                )
-            };
-            self.dispatch_window(end);
-            if end.0 < u64::MAX {
-                self.floor = SimTime(end.0 + 1);
+            // Process strictly before t0 + L (inclusive bound is
+            // t0 + L − 1), never past the caller's limit.
+            let end = t0
+                .saturating_add(lookahead.as_nanos())
+                .saturating_sub(1)
+                .min(limit.0);
+            while world.step(SimTime(end)) {}
+            if end < u64::MAX {
+                self.floor = SimTime(end + 1);
             }
             self.windows += 1;
-            self.flush(&txs);
+            self.flush(world, &txs);
             sync.barrier.wait();
-            self.drain(&rxs, &mut inbox);
+            self.drain(world, &rxs, &mut inbox);
         }
     }
 }
 
-/// One logical world executed by `S` cooperating shard workers. See the
-/// module docs for the synchronization and determinism contract; the
-/// registration and inspection API mirrors [`crate::world::World`] with
-/// an explicit shard assignment per actor.
+/// One logical world executed by `S` cooperating shard [`World`]s. See
+/// the module docs for the synchronization and determinism contract; the
+/// registration and inspection API mirrors [`World`] with an explicit
+/// shard assignment per actor.
 pub struct ShardedWorld<M: SimMessage> {
-    shards: Vec<Shard<M>>,
-    map: Arc<ShardMap>,
+    worlds: Vec<World<M>>,
+    lanes: Vec<Lane>,
     lookahead: SimDuration,
     merged: Metrics,
     now: SimTime,
@@ -637,7 +250,8 @@ pub struct ShardedWorld<M: SimMessage> {
 
 impl<M: SimMessage + Send> ShardedWorld<M> {
     /// A world of `shards` shards with per-shard link instances built by
-    /// `link_for` and per-shard RNG streams forked from `seed`.
+    /// `link_for`. One shard draws from the RNG seeded with `seed`; with
+    /// more, shard `k` draws from that RNG's fork `k`.
     ///
     /// `lookahead` must be a sound lower bound on every *cross-shard*
     /// one-way latency (use [`LinkModel::min_latency`] of the link the
@@ -655,35 +269,20 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
              (the link model's min_latency is zero — run single-shard instead)"
         );
         let master = SimRng::new(seed);
-        let shards: Vec<Shard<M>> = (0..shards)
-            .map(|k| Shard {
-                index: k as u32,
-                map: Arc::new(ShardMap::default()),
-                actors: Vec::new(),
-                globals: Vec::new(),
-                groups: Vec::new(),
-                alive: Vec::new(),
-                queue: EventQueue::new(),
-                timers: TimerTable::default(),
-                link: link_for(k),
-                rng: master.fork(k as u64),
-                metrics: Metrics::new(),
-                now: SimTime::ZERO,
-                floor: SimTime::ZERO,
-                stop: false,
-                started: 0,
-                dispatched: 0,
-                digest: 0,
-                out: Vec::new(),
-                xseq: 0,
-                windows: 0,
-                cross_sent: 0,
-                clamped: 0,
-            })
-            .collect();
+        let worlds = if shards == 1 {
+            vec![World::with_rng(link_for(0), master)]
+        } else {
+            (0..shards)
+                .map(|k| {
+                    let mut w = World::with_rng(link_for(k), master.fork(k as u64));
+                    w.join_shards(k, shards);
+                    w
+                })
+                .collect()
+        };
         ShardedWorld {
-            shards,
-            map: Arc::new(ShardMap::default()),
+            worlds,
+            lanes: (0..shards).map(|_| Lane::default()).collect(),
             lookahead,
             merged: Metrics::new(),
             now: SimTime::ZERO,
@@ -692,24 +291,23 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         }
     }
 
-    fn register(&mut self, shard: usize) -> &mut ShardMap {
+    /// Make room for `count` new ids hosted by `shard`: a `Remote` slot
+    /// in every other shard's world.
+    fn place(&mut self, shard: usize, count: usize) -> &mut World<M> {
         assert!(!self.ran, "registration after the world has run");
-        assert!(shard < self.shards.len(), "shard index out of range");
-        Arc::get_mut(&mut self.map).expect("map shared while registering")
+        assert!(shard < self.worlds.len(), "shard index out of range");
+        for (k, w) in self.worlds.iter_mut().enumerate() {
+            if k != shard {
+                w.add_remote(shard, count);
+            }
+        }
+        &mut self.worlds[shard]
     }
 
     /// Register a solo actor on `shard`; global ids stay dense in
     /// registration order across all shards.
     pub fn add_actor(&mut self, shard: usize, actor: Box<dyn Actor<M>>) -> ActorId {
-        let local = self.shards[shard].actors.len() as u32;
-        let id = self.register(shard).push(shard as u32, local);
-        let sh = &mut self.shards[shard];
-        sh.actors.push(Slot::Solo(Some(actor)));
-        sh.globals.push(id);
-        for s in &mut self.shards {
-            s.alive.push(true);
-        }
-        id
+        self.place(shard, 1).add_actor(actor)
     }
 
     /// Register a group of `members` co-hosted actors on `shard`,
@@ -721,35 +319,22 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
         members: usize,
         group: Box<dyn ActorGroup<M>>,
     ) -> ActorId {
-        self.register(shard);
-        let gidx = self.shards[shard].groups.len() as u32;
-        self.shards[shard].groups.push(Some(group));
-        let mut first = None;
-        for member in 0..members as u32 {
-            let local = self.shards[shard].actors.len() as u32;
-            let id = self.register(shard).push(shard as u32, local);
-            first.get_or_insert(id);
-            let sh = &mut self.shards[shard];
-            sh.actors.push(Slot::Member {
-                group: gidx,
-                member,
-            });
-            sh.globals.push(id);
-            for s in &mut self.shards {
-                s.alive.push(true);
-            }
-        }
-        first.expect("empty group")
+        self.place(shard, members).add_group(members, group)
+    }
+
+    /// The shard worlds, in shard order (one shard: the whole world).
+    pub fn into_shards(self) -> Vec<World<M>> {
+        self.worlds
     }
 
     /// Number of registered actors across all shards.
     pub fn actor_count(&self) -> usize {
-        self.map.len()
+        self.worlds[0].actor_count()
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.worlds.len()
     }
 
     /// The conservative lookahead bound this world synchronizes on.
@@ -771,26 +356,19 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
     /// Crash-stop an actor from outside the simulation (applied to every
     /// shard's liveness copy at once).
     pub fn kill(&mut self, actor: ActorId) {
-        for s in &mut self.shards {
-            kill_idx(&mut s.alive, actor.index());
+        for w in &mut self.worlds {
+            w.kill(actor);
         }
     }
 
     /// True if `actor` has not been killed.
     pub fn is_alive(&self, actor: ActorId) -> bool {
-        self.shards
-            .first()
-            .map(|s| is_alive_idx(&s.alive, actor.index()))
-            .unwrap_or(false)
+        self.worlds[0].is_alive(actor)
     }
 
     /// Borrow any registered actor as `Any` for post-run inspection.
     pub fn actor_any(&self, id: ActorId) -> Option<&dyn Any> {
-        if id.index() >= self.map.len() {
-            return None;
-        }
-        let shard = self.map.shard(id) as usize;
-        self.shards[shard].actor_any(self.map.local(id) as usize)
+        self.worlds.iter().find_map(|w| w.actor_any(id))
     }
 
     /// Downcast a registered actor to its concrete type.
@@ -800,61 +378,72 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
 
     /// Total events dispatched across all shards.
     pub fn events_dispatched(&self) -> u64 {
-        self.shards.iter().map(|s| s.dispatched).sum()
+        self.worlds.iter().map(World::events_dispatched).sum()
     }
 
     /// Order-sensitive digest of every shard's dispatched event stream,
     /// combined in shard order: identical for identical `(seed, shards)`
-    /// runs, and a cheap fingerprint for determinism gates.
+    /// runs, and a cheap fingerprint for determinism gates. One shard
+    /// gives its world's [`World::event_digest`].
     pub fn event_digest(&self) -> u64 {
-        self.shards
+        self.worlds
             .iter()
-            .fold(0u64, |h, s| h.rotate_left(9) ^ s.digest)
+            .fold(0u64, |h, w| h.rotate_left(9) ^ w.event_digest())
     }
 
-    /// Cross-shard arrivals that violated the lookahead contract and
-    /// were clamped (always zero for honest link models).
+    /// Deliveries that violated the lookahead contract and were clamped
+    /// (always zero for honest link models).
     pub fn clamped_cross_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.clamped).sum()
+        self.worlds.iter().map(World::clamped_events).sum()
     }
 
     /// Per-shard load counters, in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
+        self.worlds
             .iter()
-            .map(|s| ShardStats {
-                shard: s.index as usize,
-                actors: s.actors.len(),
-                dispatched: s.dispatched,
-                windows: s.windows,
-                cross_sent: s.cross_sent,
-                pending_events: s.queue.len(),
-                clamped: s.clamped,
+            .zip(&self.lanes)
+            .enumerate()
+            .map(|(shard, (w, lane))| ShardStats {
+                shard,
+                actors: w.hosted(),
+                dispatched: w.events_dispatched(),
+                windows: lane.windows,
+                cross_sent: lane.cross_sent,
+                pending_events: w.pending_events(),
+                clamped: w.clamped_events(),
             })
             .collect()
     }
 
     /// Pre-reserve per-shard queue capacity (allocation hint only).
     pub fn reserve_events(&mut self, events: usize) {
-        let per = events / self.shards.len().max(1);
-        for s in &mut self.shards {
-            s.queue.reserve(per);
+        let per = events / self.worlds.len();
+        for w in &mut self.worlds {
+            w.reserve_events(per);
         }
     }
 
     /// Run until every queue drains, an actor stops the world, or
     /// virtual time would pass `limit` (same clock semantics as
-    /// [`crate::world::World::run_until`]). Returns the time reached.
+    /// [`World::run_until`]). Returns the time reached.
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
-        let s = self.shards.len();
-        if !self.ran {
-            self.ran = true;
-            let out_template = || Vec::new();
-            for shard in &mut self.shards {
-                shard.map = self.map.clone();
-                shard.out = (0..s).map(|_| out_template()).collect();
-            }
+        self.ran = true;
+        if let [world] = self.worlds.as_mut_slice() {
+            self.now = world.run_until(limit);
+        } else {
+            self.run_windows(limit);
         }
+        self.merged.clear();
+        for w in &self.worlds {
+            self.merged.merge(w.metrics());
+        }
+        self.now
+    }
+
+    /// [`ShardedWorld::run_until`] for `S ≥ 2`: one scoped worker thread
+    /// per shard, joined before returning.
+    fn run_windows(&mut self, limit: SimTime) {
+        let s = self.worlds.len();
         let sync = ShardSync {
             barrier: Barrier::new(s),
             next: (0..s).map(|_| AtomicU64::new(u64::MAX)).collect(),
@@ -875,42 +464,24 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
             rxs.push(row);
         }
         let lookahead = self.lookahead;
-        let single = s == 1;
         std::thread::scope(|scope| {
             let sync = &sync;
-            for ((shard, tx_row), rx_row) in self.shards.iter_mut().zip(txs).zip(rxs) {
-                scope.spawn(move || {
-                    shard.run_worker(limit, lookahead, single, sync, tx_row, rx_row)
-                });
+            let lanes = self.worlds.iter_mut().zip(&mut self.lanes);
+            for (((world, lane), tx_row), rx_row) in lanes.zip(txs).zip(rxs) {
+                scope.spawn(move || lane.run(world, limit, lookahead, sync, tx_row, rx_row));
             }
         });
         self.stopped = sync.stop.load(Ordering::Acquire);
-        let max_now = self
-            .shards
-            .iter()
-            .map(|sh| sh.now)
-            .max()
-            .unwrap_or(SimTime::ZERO);
         self.now = if self.stopped || limit == SimTime::MAX {
-            max_now
+            self.worlds
+                .iter()
+                .map(World::now)
+                .max()
+                .unwrap_or(SimTime::ZERO)
         } else {
             limit
         };
-        self.merged.clear();
-        for sh in &self.shards {
-            self.merged.merge(&sh.metrics);
-        }
-        let clamped = self.clamped_cross_events();
-        if clamped > 0 {
-            self.merged.add(CLAMPED_CROSS_EVENTS, clamped);
-        }
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            clamped, 0,
-            "cross-shard events violated the lookahead contract \
-             (the link model's min_latency overstates its real minimum)"
-        );
-        self.now
+        assert_no_clamps(self.clamped_cross_events());
     }
 
     /// Run until every queue drains or an actor stops the world.

@@ -6,9 +6,14 @@
 //! borrow structure simple and makes actor code look like ordinary
 //! message-handler code.
 //!
+//! A `World` is also one shard of a [`crate::shard::ShardedWorld`]: it
+//! then holds a `Remote` slot for every actor another shard hosts, and
+//! sends to those actors are staged in a per-shard outbox instead of its
+//! own queue. A standalone world has no outbox, so every send is local.
+//!
 //! Determinism: with a fixed seed, fixed actor registration order, and
 //! the same message handlers, a run produces an identical event sequence
-//! on every platform.
+//! on every platform, fingerprinted by [`World::event_digest`].
 
 use std::any::Any;
 
@@ -16,6 +21,7 @@ use crate::event::{ActorId, Event, EventQueue, TimerId};
 use crate::link::{LinkModel, LinkVerdict};
 use crate::metrics::{self, Metrics};
 use crate::rng::SimRng;
+use crate::shard::{Cross, CLAMPED_CROSS_EVENTS};
 use crate::time::{SimDuration, SimTime};
 
 /// Anything that can travel over a simulated link.
@@ -134,38 +140,28 @@ pub trait ActorGroup<M: SimMessage>: Send + 'static {
     fn member_as_any(&self, member: u32) -> &dyn Any;
 }
 
-/// Where one [`ActorId`] lives: its own box, or a slot of a group slab.
-/// Shared with the sharded world, whose per-shard slabs use the same
-/// storage scheme over shard-local indices.
-pub(crate) enum Slot<M: SimMessage> {
-    /// A free-standing actor (`None` only transiently during dispatch).
-    Solo(Option<Box<dyn Actor<M>>>),
+/// Where one [`ActorId`] lives: a free-standing box, a slot of a group
+/// slab, or another shard. Kept small (12 bytes): every shard holds one
+/// per actor id.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Free-standing actor `solos[.0]`.
+    Solo(u32),
     /// Member `member` of `groups[group]`.
     Member { group: u32, member: u32 },
+    /// Hosted by shard `.0` of the enclosing sharded world.
+    Remote(u32),
 }
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 12);
 
 /// A dispatch target moved out of its slot for the duration of one
-/// callback (the reentrancy guard): the solo actor's box, or the whole
-/// group box plus the addressed member index.
-pub(crate) enum Taken<M: SimMessage> {
-    Actor(Box<dyn Actor<M>>),
+/// callback (the reentrancy guard): the solo actor's box with its
+/// `solos` index, or the whole group box plus the addressed member
+/// index.
+enum Taken<M: SimMessage> {
+    Actor(usize, Box<dyn Actor<M>>),
     Group(usize, u32, Box<dyn ActorGroup<M>>),
-}
-
-/// Liveness lookup shared by every dispatch site: out-of-range ids are
-/// treated as dead (never registered ⇒ cannot receive anything).
-#[inline]
-pub(crate) fn is_alive_idx(alive: &[bool], idx: usize) -> bool {
-    alive.get(idx).copied().unwrap_or(false)
-}
-
-/// Crash-stop by index; out-of-range ids are a no-op, matching
-/// [`is_alive_idx`].
-#[inline]
-pub(crate) fn kill_idx(alive: &mut [bool], idx: usize) {
-    if let Some(a) = alive.get_mut(idx) {
-        *a = false;
-    }
 }
 
 /// Pending-timer bookkeeping: a generation-stamped slot map.
@@ -180,16 +176,16 @@ pub(crate) fn kill_idx(alive: &mut [bool], idx: usize) {
 /// misfire if its slot were recycled 2³² times before dispatch, which no
 /// realistic run approaches.
 #[derive(Default)]
-pub(crate) struct TimerTable {
+struct TimerTable {
     /// Current generation per slot; odd/even carries no meaning, only
     /// equality with the id's stamp.
     gens: Vec<u32>,
     free: Vec<u32>,
-    pub(crate) live: usize,
+    live: usize,
 }
 
 impl TimerTable {
-    pub(crate) fn arm(&mut self) -> TimerId {
+    fn arm(&mut self) -> TimerId {
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -203,7 +199,7 @@ impl TimerTable {
 
     /// Consume `id` (cancel or fire). Returns false when the id is
     /// stale — already fired or already cancelled.
-    pub(crate) fn take(&mut self, id: TimerId) -> bool {
+    fn take(&mut self, id: TimerId) -> bool {
         let slot = (id.0 >> 32) as usize;
         let gen = id.0 as u32;
         match self.gens.get_mut(slot) {
@@ -218,17 +214,35 @@ impl TimerTable {
     }
 }
 
-/// The world handle passed to actor callbacks.
+/// Fold one dispatched event into a running stream digest (an FNV-style
+/// 64-bit mix; order-sensitive by construction).
+#[inline]
+fn fold_digest(h: u64, at: SimTime, kind: u64, payload: u64) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut x = h ^ at.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_mul(PRIME);
+    x ^= kind.rotate_left(17);
+    x = x.wrapping_mul(PRIME);
+    x ^= payload.rotate_left(31);
+    x.wrapping_mul(PRIME)
+}
+
+/// Fail the run if any delivery violated the lookahead contract (debug
+/// builds only; release builds keep the clamped events and their count).
+pub(crate) fn assert_no_clamps(clamped: u64) {
+    debug_assert_eq!(
+        clamped, 0,
+        "deliveries violated the lookahead contract (the link model delivered \
+         into the past, or sooner than its min_latency)"
+    );
+}
+
+/// The world handle passed to actor callbacks: the running actor's id
+/// over the world hosting it. The actor itself is moved out of its slot
+/// for the callback, so the handle may borrow the whole world.
 pub struct Ctx<'a, M: SimMessage> {
     self_id: ActorId,
-    now: SimTime,
-    queue: &'a mut EventQueue<M>,
-    link: &'a mut dyn LinkModel,
-    rng: &'a mut SimRng,
-    metrics: &'a mut Metrics,
-    alive: &'a mut [bool],
-    timers: &'a mut TimerTable,
-    stop: &'a mut bool,
+    world: &'a mut World<M>,
 }
 
 impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
@@ -239,49 +253,35 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
 
     #[inline]
     fn now(&self) -> SimTime {
-        self.now
+        self.world.now
     }
 
     fn actor_count(&self) -> usize {
-        self.alive.len()
+        self.world.alive.len()
     }
 
+    /// In a shard, kills made by other shards are visible from the next
+    /// window boundary on.
     fn is_alive(&self, actor: ActorId) -> bool {
-        is_alive_idx(self.alive, actor.index())
+        self.world.is_alive(actor)
     }
 
     /// The message passes the world's link model and may be delayed,
     /// reordered relative to other pairs, or dropped.
     fn send(&mut self, to: ActorId, msg: M) {
+        let w = &mut *self.world;
         let bytes = msg.wire_size();
-        self.metrics.incr_id(metrics::NET_SENT_ID);
-        self.metrics
-            .add_id(metrics::NET_BYTES_SENT_ID, bytes as u64);
-        match self
-            .link
-            .process(self.now, self.self_id, to, bytes, self.rng)
-        {
-            LinkVerdict::Deliver(at) => {
-                debug_assert!(at >= self.now, "link delivered into the past");
-                self.queue.push(
-                    at,
-                    Event::Deliver {
-                        from: self.self_id,
-                        to,
-                        msg,
-                    },
-                );
-            }
-            LinkVerdict::Drop => {
-                self.metrics.incr_id(metrics::NET_DROPPED_ID);
-            }
-        }
+        w.metrics.incr_id(metrics::NET_SENT_ID);
+        w.metrics.add_id(metrics::NET_BYTES_SENT_ID, bytes as u64);
+        let verdict = w.link.process(w.now, self.self_id, to, bytes, &mut w.rng);
+        w.route(self.self_id, to, verdict, msg);
     }
 
     fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
-        let id = self.timers.arm();
-        self.queue.push(
-            self.now + delay,
+        let w = &mut *self.world;
+        let id = w.timers.arm();
+        w.queue.push(
+            w.now + delay,
             Event::Timer {
                 actor: self.self_id,
                 timer: id,
@@ -295,62 +295,55 @@ impl<'a, M: SimMessage> Runtime<M> for Ctx<'a, M> {
     /// skipped at dispatch. Cancelling an already-fired (or already-
     /// cancelled) timer is a no-op and leaks nothing.
     fn cancel_timer(&mut self, timer: TimerId) {
-        self.timers.take(timer);
+        self.world.timers.take(timer);
     }
 
     #[inline]
     fn rng(&mut self) -> &mut SimRng {
-        self.rng
+        &mut self.world.rng
     }
 
     #[inline]
     fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
+        &mut self.world.metrics
     }
 
     /// Crash-stop `actor`: it receives no further messages or timers.
     /// In-flight messages *from* it still arrive (they already left).
+    /// Other shards learn of the kill at the next window boundary.
     fn kill(&mut self, actor: ActorId) {
-        kill_idx(self.alive, actor.index());
+        let w = &mut *self.world;
+        w.kill(actor);
+        let own = w.shard as usize;
+        for (dst, out) in w.out.iter_mut().enumerate() {
+            if dst != own {
+                out.push(Cross::Kill(actor));
+            }
+        }
     }
 
-    /// Halt the whole simulation after the current callback returns.
+    /// Halt the world after the current callback returns (other shards
+    /// finish their open window first).
     fn stop_world(&mut self) {
-        *self.stop = true;
+        self.world.stop = true;
     }
 
     /// Batched send: one metrics update for the whole fan-out, with link
-    /// processing and queue pushes in exact per-message order — the event
+    /// processing and routing in exact per-message order — the event
     /// stream (delivery times, sequence numbers, RNG draws) is
     /// bit-identical to `batch.len()` individual [`Runtime::send`] calls.
     fn send_batch(&mut self, batch: &mut Vec<(ActorId, M)>) {
+        let w = &mut *self.world;
         let count = batch.len() as u64;
         let mut bytes = 0u64;
         for (to, msg) in batch.drain(..) {
             let size = msg.wire_size();
             bytes += size as u64;
-            match self
-                .link
-                .process(self.now, self.self_id, to, size, self.rng)
-            {
-                LinkVerdict::Deliver(at) => {
-                    debug_assert!(at >= self.now, "link delivered into the past");
-                    self.queue.push(
-                        at,
-                        Event::Deliver {
-                            from: self.self_id,
-                            to,
-                            msg,
-                        },
-                    );
-                }
-                LinkVerdict::Drop => {
-                    self.metrics.incr_id(metrics::NET_DROPPED_ID);
-                }
-            }
+            let verdict = w.link.process(w.now, self.self_id, to, size, &mut w.rng);
+            w.route(self.self_id, to, verdict, msg);
         }
-        self.metrics.add_id(metrics::NET_SENT_ID, count);
-        self.metrics.add_id(metrics::NET_BYTES_SENT_ID, bytes);
+        w.metrics.add_id(metrics::NET_SENT_ID, count);
+        w.metrics.add_id(metrics::NET_BYTES_SENT_ID, bytes);
     }
 }
 
@@ -375,45 +368,74 @@ pub struct WorldStats {
 
 /// Owns the actors and runs the event loop.
 pub struct World<M: SimMessage> {
-    actors: Vec<Slot<M>>,
+    actors: Vec<Slot>,
+    /// Free-standing actors (`None` only transiently during dispatch).
+    solos: Vec<Option<Box<dyn Actor<M>>>>,
     groups: Vec<Option<Box<dyn ActorGroup<M>>>>,
     alive: Vec<bool>,
     started: usize,
-    queue: EventQueue<M>,
+    pub(crate) queue: EventQueue<M>,
     link: Box<dyn LinkModel>,
     rng: SimRng,
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     now: SimTime,
     timers: TimerTable,
-    stop: bool,
+    pub(crate) stop: bool,
     trace: bool,
     dispatched: u64,
+    digest: u64,
+    /// This world's index in its sharded world (0 when standalone).
+    pub(crate) shard: u32,
+    /// One outbox per shard of the enclosing sharded world (own index
+    /// unused); empty for a standalone world.
+    pub(crate) out: Vec<Vec<Cross<M>>>,
+    /// Monotone count of staged cross-shard deliveries: their tie-break.
+    xseq: u64,
 }
 
 impl<M: SimMessage> World<M> {
     /// A world with the given link model and RNG seed.
     pub fn new(link: impl LinkModel + 'static, seed: u64) -> Self {
+        Self::with_rng(Box::new(link), SimRng::new(seed))
+    }
+
+    /// A world drawing from `rng` (a sharded world hands each shard a
+    /// forked stream).
+    pub(crate) fn with_rng(link: Box<dyn LinkModel>, rng: SimRng) -> Self {
         World {
             actors: Vec::new(),
+            solos: Vec::new(),
             groups: Vec::new(),
             alive: Vec::new(),
             started: 0,
             queue: EventQueue::new(),
-            link: Box::new(link),
-            rng: SimRng::new(seed),
+            link,
+            rng,
             metrics: Metrics::new(),
             now: SimTime::ZERO,
             timers: TimerTable::default(),
             stop: false,
             trace: false,
             dispatched: 0,
+            digest: 0,
+            shard: 0,
+            out: Vec::new(),
+            xseq: 0,
         }
+    }
+
+    /// Make this world shard `shard` of `shards`: sends to actors of
+    /// other shards go to per-shard outboxes from now on.
+    pub(crate) fn join_shards(&mut self, shard: usize, shards: usize) {
+        self.shard = shard as u32;
+        self.out = (0..shards).map(|_| Vec::new()).collect();
     }
 
     /// Register an actor; ids are assigned densely in registration order.
     pub fn add_actor(&mut self, actor: Box<dyn Actor<M>>) -> ActorId {
         let id = ActorId(self.actors.len() as u32);
-        self.actors.push(Slot::Solo(Some(actor)));
+        self.actors.push(Slot::Solo(self.solos.len() as u32));
+        self.solos.push(Some(actor));
         self.alive.push(true);
         id
     }
@@ -438,9 +460,25 @@ impl<M: SimMessage> World<M> {
         first
     }
 
+    /// Reserve the next `count` ids for actors hosted by shard `home`.
+    pub(crate) fn add_remote(&mut self, home: usize, count: usize) {
+        for _ in 0..count {
+            self.actors.push(Slot::Remote(home as u32));
+            self.alive.push(true);
+        }
+    }
+
     /// Number of registered actors (alive or not).
     pub fn actor_count(&self) -> usize {
         self.actors.len()
+    }
+
+    /// Actors this world hosts itself (all of them unless it is a shard).
+    pub(crate) fn hosted(&self) -> usize {
+        self.actors
+            .iter()
+            .filter(|s| !matches!(s, Slot::Remote(_)))
+            .count()
     }
 
     /// Current virtual time.
@@ -458,14 +496,17 @@ impl<M: SimMessage> World<M> {
         &mut self.metrics
     }
 
-    /// True if `actor` has not been killed.
+    /// True if `actor` has not been killed (unknown ids are dead).
     pub fn is_alive(&self, actor: ActorId) -> bool {
-        is_alive_idx(&self.alive, actor.index())
+        self.alive.get(actor.index()).copied().unwrap_or(false)
     }
 
-    /// Crash-stop an actor from outside the simulation.
+    /// Crash-stop an actor from outside the simulation (unknown ids are
+    /// a no-op).
     pub fn kill(&mut self, actor: ActorId) {
-        kill_idx(&mut self.alive, actor.index());
+        if let Some(a) = self.alive.get_mut(actor.index()) {
+            *a = false;
+        }
     }
 
     /// Borrow a registered *solo* actor as a trait object for inspection.
@@ -473,21 +514,22 @@ impl<M: SimMessage> World<M> {
     /// [`World::actor_any`] / [`World::actor_as`], which resolve both.
     pub fn actor_as_dyn(&self, id: ActorId) -> Option<&dyn Actor<M>> {
         match self.actors.get(id.index())? {
-            Slot::Solo(slot) => slot.as_deref(),
-            Slot::Member { .. } => None,
+            Slot::Solo(i) => self.solos[*i as usize].as_deref(),
+            _ => None,
         }
     }
 
-    /// Borrow any registered actor — solo or group member — as `Any` for
-    /// post-run inspection.
+    /// Borrow any actor this world hosts — solo or group member — as
+    /// `Any` for post-run inspection.
     pub fn actor_any(&self, id: ActorId) -> Option<&dyn Any> {
         match self.actors.get(id.index())? {
-            Slot::Solo(slot) => slot.as_deref().map(|a| a.as_any()),
+            Slot::Solo(i) => self.solos[*i as usize].as_deref().map(|a| a.as_any()),
             Slot::Member { group, member } => self
                 .groups
                 .get(*group as usize)
                 .and_then(|g| g.as_deref())
                 .map(|g| g.member_as_any(*member)),
+            Slot::Remote(_) => None,
         }
     }
 
@@ -496,68 +538,80 @@ impl<M: SimMessage> World<M> {
         self.actor_any(id).and_then(|a| a.downcast_ref::<T>())
     }
 
-    /// The world-side half of the split borrow: one `Ctx` over every
-    /// field an actor callback may touch. All three dispatch sites
-    /// (start, deliver, timer) build their context here.
+    /// Queue a link verdict on a message `from → to`: into this world's
+    /// queue, or into the outbox of the shard hosting `to`. A delivery
+    /// into the past (a link model bug) is clamped to `now` and counted
+    /// under [`CLAMPED_CROSS_EVENTS`].
     #[inline]
-    fn ctx(&mut self, self_id: ActorId) -> Ctx<'_, M> {
-        Ctx {
-            self_id,
-            now: self.now,
-            queue: &mut self.queue,
-            link: self.link.as_mut(),
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            alive: &mut self.alive,
-            timers: &mut self.timers,
-            stop: &mut self.stop,
+    fn route(&mut self, from: ActorId, to: ActorId, verdict: LinkVerdict, msg: M) {
+        let LinkVerdict::Deliver(mut at) = verdict else {
+            self.metrics.incr_id(metrics::NET_DROPPED_ID);
+            return;
+        };
+        if at < self.now {
+            self.metrics.incr(CLAMPED_CROSS_EVENTS);
+            at = self.now;
         }
-    }
-
-    /// Take the dispatch target for `id` out of its slot (solo box or
-    /// group box), or `None` when the id is unknown or mid-dispatch.
-    fn take_target(&mut self, id: ActorId) -> Option<Taken<M>> {
-        match self.actors.get_mut(id.index())? {
-            Slot::Solo(slot) => slot.take().map(Taken::Actor),
-            Slot::Member { group, member } => {
-                let (g, m) = (*group as usize, *member);
-                self.groups
-                    .get_mut(g)
-                    .and_then(Option::take)
-                    .map(|b| Taken::Group(g, m, b))
+        if !self.out.is_empty() {
+            if let Some(&Slot::Remote(home)) = self.actors.get(to.index()) {
+                let seq = self.xseq;
+                self.xseq += 1;
+                let cross = Cross::Deliver {
+                    at,
+                    seq,
+                    from,
+                    to,
+                    msg,
+                };
+                self.out[home as usize].push(cross);
+                return;
             }
         }
+        self.queue.push(at, Event::Deliver { from, to, msg });
     }
 
-    /// Put a taken dispatch target back into its slot.
-    fn put_target(&mut self, id: ActorId, taken: Taken<M>) {
+    /// Run one callback of the actor `id` hosts here, with the actor moved
+    /// out of its slot for the duration (unknown, remote or mid-dispatch
+    /// ids are skipped).
+    #[inline]
+    fn with_target(&mut self, id: ActorId, f: impl FnOnce(&mut Taken<M>, &mut Ctx<'_, M>)) {
+        let taken = match self.actors.get(id.index()).copied() {
+            Some(Slot::Solo(i)) => self.solos[i as usize]
+                .take()
+                .map(|a| Taken::Actor(i as usize, a)),
+            Some(Slot::Member { group, member }) => {
+                let g = group as usize;
+                self.groups[g].take().map(|b| Taken::Group(g, member, b))
+            }
+            _ => None,
+        };
+        let Some(mut taken) = taken else {
+            return;
+        };
+        f(
+            &mut taken,
+            &mut Ctx {
+                self_id: id,
+                world: self,
+            },
+        );
         match taken {
-            Taken::Actor(a) => {
-                if let Some(Slot::Solo(slot)) = self.actors.get_mut(id.index()) {
-                    *slot = Some(a);
-                }
-            }
+            Taken::Actor(i, a) => self.solos[i] = Some(a),
             Taken::Group(g, _, b) => self.groups[g] = Some(b),
         }
     }
 
-    fn start_pending(&mut self) {
+    /// Run pending `on_start` callbacks in registration order.
+    pub(crate) fn start_pending(&mut self) {
         while self.started < self.actors.len() {
-            let idx = self.started;
+            let id = ActorId(self.started as u32);
             self.started += 1;
-            if !self.alive[idx] {
-                continue;
+            if self.is_alive(id) {
+                self.with_target(id, |t, ctx| match t {
+                    Taken::Actor(_, a) => a.on_start(ctx),
+                    Taken::Group(_, m, g) => g.on_start(ctx, *m),
+                });
             }
-            let id = ActorId(idx as u32);
-            let mut taken = self.take_target(id).expect("actor reentrancy");
-            match &mut taken {
-                Taken::Actor(a) => a.on_start(&mut self.ctx(id)),
-                Taken::Group(_, m, b) => {
-                    let m = *m;
-                    b.on_start(&mut self.ctx(id), m);
-                }
-            }
-            self.put_target(id, taken);
         }
     }
 
@@ -587,43 +641,29 @@ impl<M: SimMessage> World<M> {
         }
         match event {
             Event::Deliver { from, to, msg } => {
-                if !is_alive_idx(&self.alive, to.index()) {
+                let pair = (u64::from(from.0) << 32) | u64::from(to.0);
+                self.digest = fold_digest(self.digest, at, 1, pair);
+                if !self.is_alive(to) {
                     self.metrics.incr_id(metrics::NET_TO_DEAD_ID);
                     return true;
                 }
                 self.metrics.incr_id(metrics::NET_DELIVERED_ID);
-                let Some(mut taken) = self.take_target(to) else {
-                    return true;
-                };
-                match &mut taken {
-                    Taken::Actor(a) => a.on_message(&mut self.ctx(to), from, msg),
-                    Taken::Group(_, m, b) => {
-                        let m = *m;
-                        b.on_message(&mut self.ctx(to), m, from, msg);
-                    }
-                }
-                self.put_target(to, taken);
+                self.with_target(to, |t, ctx| match t {
+                    Taken::Actor(_, a) => a.on_message(ctx, from, msg),
+                    Taken::Group(_, m, g) => g.on_message(ctx, *m, from, msg),
+                });
             }
             Event::Timer { actor, timer, tag } => {
+                let key = (u64::from(actor.0) << 32) ^ tag;
+                self.digest = fold_digest(self.digest, at, 2, key);
                 // A stale id means the timer was cancelled (or the slot
                 // already consumed); firing consumes it either way.
-                if !self.timers.take(timer) {
-                    return true;
+                if self.timers.take(timer) && self.is_alive(actor) {
+                    self.with_target(actor, |t, ctx| match t {
+                        Taken::Actor(_, a) => a.on_timer(ctx, timer, tag),
+                        Taken::Group(_, m, g) => g.on_timer(ctx, *m, timer, tag),
+                    });
                 }
-                if !is_alive_idx(&self.alive, actor.index()) {
-                    return true;
-                }
-                let Some(mut taken) = self.take_target(actor) else {
-                    return true;
-                };
-                match &mut taken {
-                    Taken::Actor(a) => a.on_timer(&mut self.ctx(actor), timer, tag),
-                    Taken::Group(_, m, b) => {
-                        let m = *m;
-                        b.on_timer(&mut self.ctx(actor), m, timer, tag);
-                    }
-                }
-                self.put_target(actor, taken);
             }
         }
         true
@@ -655,11 +695,16 @@ impl<M: SimMessage> World<M> {
     /// than "stop at whatever happened last". The one exception is
     /// `limit == SimTime::MAX`, the [`World::run`] sentinel meaning "no
     /// limit", where time stays at the last dispatched event.
+    ///
+    /// # Panics
+    /// Under `debug_assertions`, if the link model delivered a message
+    /// into the past (see [`World::clamped_events`]).
     pub fn run_until(&mut self, limit: SimTime) -> SimTime {
         while self.step(limit) {}
         if !self.stop && limit != SimTime::MAX && self.now < limit {
             self.now = limit;
         }
+        assert_no_clamps(self.clamped_events());
         self.now
     }
 
@@ -696,6 +741,18 @@ impl<M: SimMessage> World<M> {
     /// Total events dispatched since construction (timers included).
     pub fn events_dispatched(&self) -> u64 {
         self.dispatched
+    }
+
+    /// Order-sensitive digest of every event dispatched so far: identical
+    /// for identical runs, and a cheap fingerprint for determinism gates.
+    pub fn event_digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Deliveries that violated the link's lookahead contract and were
+    /// clamped (always zero for honest link models).
+    pub fn clamped_events(&self) -> u64 {
+        self.metrics.counter(CLAMPED_CROSS_EVENTS)
     }
 
     /// Most events that were ever pending at once (sizing diagnostics).

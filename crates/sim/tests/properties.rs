@@ -102,6 +102,7 @@ fn sink_of(counters: &[(u8, u64)], samples: &[(u8, u64)]) -> Metrics {
     let mut m = Metrics::new();
     for &(k, v) in counters {
         m.add(&format!("prop.merge.c{}", k % 8), v);
+        m.set_max(&format!("prop.merge.g{}", k % 4), v);
     }
     for &(k, v) in samples {
         m.record(&format!("prop.merge.h{}", k % 4), v);

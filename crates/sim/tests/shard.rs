@@ -311,10 +311,67 @@ impl LinkModel for LyingLink {
     }
 }
 
+/// A link that delivers 1ms *before* the send: into the sender's past.
+struct PastLink;
+impl LinkModel for PastLink {
+    fn process(
+        &mut self,
+        now: SimTime,
+        _from: ActorId,
+        _to: ActorId,
+        _bytes: usize,
+        _rng: &mut SimRng,
+    ) -> LinkVerdict {
+        LinkVerdict::Deliver(SimTime(now.0.saturating_sub(1_000_000)))
+    }
+}
+
+/// A single world whose pinger sends 20 pings over [`PastLink`].
+fn past_world() -> (World<Ping>, ActorId) {
+    let mut w: World<Ping> = World::new(PastLink, 4);
+    let sink = w.add_actor(Box::new(Sink::default()));
+    w.add_actor(Box::new(Pinger {
+        target: sink,
+        count: 20,
+    }));
+    (w, sink)
+}
+
+/// Every past delivery was clamped to its send time and counted.
+fn assert_clamped(w: &World<Ping>, sink: ActorId) {
+    assert_eq!(w.clamped_events(), 20);
+    assert_eq!(
+        w.metrics().counter(mss_sim::shard::CLAMPED_CROSS_EVENTS),
+        20
+    );
+    let got = &w.actor_as::<Sink>(sink).unwrap().got;
+    assert_eq!(got.len(), 20);
+    assert!(got.iter().all(|&(at, tag)| at == (tag + 1) * 1_000_000));
+}
+
+#[cfg(not(debug_assertions))]
+#[test]
+fn past_delivery_is_clamped_and_counted_in_release() {
+    let (mut w, sink) = past_world();
+    w.run();
+    assert_clamped(&w, sink);
+}
+
 #[cfg(debug_assertions)]
 #[test]
 #[should_panic(expected = "lookahead contract")]
 fn lying_link_fails_the_run_in_debug() {
+    // One policy on both kernels: a single world clamps and counts a
+    // delivery into the past, then fails the run.
+    let (mut w, sink) = past_world();
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run()));
+    let err = run.expect_err("a past delivery must fail a debug run");
+    let msg = err
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert!(msg.contains("lookahead contract"), "{msg}");
+    assert_clamped(&w, sink);
+
     let mut sw: ShardedWorld<Ping> = ShardedWorld::new(2, LAT, 4, |_| Box::new(LyingLink));
     let sink = sw.add_actor(0, Box::new(Sink::default()));
     // Ping sent at t=1ms from the other shard "arrives" at 1ms, inside

@@ -20,6 +20,13 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test -q --workspace
 
+echo "==> benchmark: build perfbench and run its own tests"
+# perfbench/ (its own package, see BENCHMARK.json) drives the kernel
+# through the public API; a kernel API change that breaks the benchmark
+# fails here instead of in the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> event memory plane: size-regression gates (Msg / Event / NodeKey)"
 # Compile-time asserts in mss-core::msg and mss-sim::event are the hard
 # floor; these named tests re-measure at runtime so a width regression
