@@ -343,6 +343,74 @@ impl<M> HeapQueue<M> {
     fn pop(&mut self) -> Option<(SimTime, Event<M>)> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
+
+    fn pop_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, Event<M>)> {
+        if self.heap.peek()?.time > limit {
+            return None;
+        }
+        self.pop()
+    }
+}
+
+/// The hold operations the wave shape drives, for both schedulers.
+trait HoldQueue {
+    fn push_at(&mut self, t: SimTime, i: u64);
+    fn pop_due(&mut self, limit: SimTime) -> bool;
+}
+
+impl HoldQueue for EventQueue<()> {
+    fn push_at(&mut self, t: SimTime, i: u64) {
+        self.push(t, timer_event(i));
+    }
+    fn pop_due(&mut self, limit: SimTime) -> bool {
+        self.pop_at_or_before(limit).is_some()
+    }
+}
+
+impl HoldQueue for HeapQueue<()> {
+    fn push_at(&mut self, t: SimTime, i: u64) {
+        self.push(t, timer_event(i));
+    }
+    fn pop_due(&mut self, limit: SimTime) -> bool {
+        self.pop_at_or_before(limit).is_some()
+    }
+}
+
+/// Waves `wave_bursts` runs per iteration.
+const WAVES: u64 = 60;
+/// Keys `wave_bursts` spreads over its first second before the waves.
+const PRELUDE: u64 = 1 << 14;
+
+/// A calendar sized while sparse, then filled densely. [`PRELUDE`]
+/// keys spread over one second fix the bucket width and take the
+/// bucket count to its cap; then, each simulated millisecond, `burst`
+/// keys land at `now + 1 ms + U[0, 20 ms)` in random order and every
+/// key due by the new `now` pops. About 11.5·`burst` keys are pending
+/// at steady state, stacked a few hundred deep in each bucket of the
+/// 20 ms band. That is the shape of a 10⁵-peer session, whose calendar
+/// is sized at 4·10³ pending events and later holds 5.8·10⁵. Runs
+/// [`WAVES`] waves, then drains; returns the number of pops.
+fn wave_bursts(q: &mut impl HoldQueue, burst: u64, rng: &mut SimRng) -> u64 {
+    const MS: u64 = 1_000_000;
+    let (mut now, mut i, mut popped) = (0u64, 0u64, 0u64);
+    for _ in 0..PRELUDE {
+        q.push_at(SimTime(rng.gen_below(1_000 * MS)), i);
+        i += 1;
+    }
+    for _ in 0..WAVES {
+        for _ in 0..burst {
+            q.push_at(SimTime(now + MS + rng.gen_below(20 * MS)), i);
+            i += 1;
+        }
+        now += MS;
+        while q.pop_due(SimTime(now)) {
+            popped += 1;
+        }
+    }
+    while q.pop_due(SimTime::MAX) {
+        popped += 1;
+    }
+    popped
 }
 
 fn timer_event(i: u64) -> Event<()> {
@@ -420,6 +488,30 @@ fn bench_queue_ops(c: &mut Criterion) {
                 },
             );
         }
+    }
+    // Population-scale pending sets, where buckets the cursor has not
+    // reached fill with out-of-order keys; few samples, as one
+    // iteration moves millions of keys.
+    g.sample_size(10);
+    for pending in [100_000u64, 500_000] {
+        let burst = pending * 2 / 23;
+        g.throughput(Throughput::Elements(PRELUDE + WAVES * burst));
+        g.bench_with_input(
+            BenchmarkId::new("calendar_waves", pending),
+            &burst,
+            |b, &burst| {
+                let mut rng = SimRng::new(5);
+                b.iter(|| wave_bursts(&mut EventQueue::<()>::new(), burst, &mut rng));
+            },
+        );
+        g.bench_with_input(
+            BenchmarkId::new("heap_waves", pending),
+            &burst,
+            |b, &burst| {
+                let mut rng = SimRng::new(5);
+                b.iter(|| wave_bursts(&mut HeapQueue::<()>::new(), burst, &mut rng));
+            },
+        );
     }
     g.finish();
 }

@@ -349,8 +349,13 @@ impl View {
         let before = self.len;
         match &other.repr {
             Repr::Sparse(ids) => {
-                for &i in ids {
-                    self.insert_id(i);
+                if let Repr::Sparse(mine) = &mut self.repr {
+                    self.len += merge_sorted_ids(mine, ids);
+                    self.after_growth();
+                } else {
+                    for &i in ids {
+                        self.insert_id(i);
+                    }
                 }
             }
             Repr::Runs(runs) => {
@@ -550,6 +555,42 @@ fn insert_into_runs(runs: &mut Vec<Run>, start: u32, end: u32) -> usize {
     let absorbed: usize = runs[lo..hi].iter().map(|&(s, e)| (e - s) as usize).sum();
     runs.splice(lo..hi, std::iter::once((new_s, new_e)));
     (new_e - new_s) as usize - absorbed
+}
+
+/// `dst := dst ∪ src` over sorted distinct id lists, in one linear
+/// pass: count the ids `dst` lacks, grow it once, then merge from the
+/// back so every element moves at most once. Returns how many ids were
+/// new.
+fn merge_sorted_ids(dst: &mut Vec<u32>, src: &[u32]) -> usize {
+    let (mut i, mut new) = (0, 0);
+    for &x in src {
+        while i < dst.len() && dst[i] < x {
+            i += 1;
+        }
+        if i == dst.len() || dst[i] != x {
+            new += 1;
+        }
+    }
+    if new == 0 {
+        return 0;
+    }
+    let (mut i, mut j) = (dst.len(), src.len());
+    dst.resize(i + new, 0);
+    let mut w = dst.len();
+    while j > 0 {
+        w -= 1;
+        if i > 0 && dst[i - 1] >= src[j - 1] {
+            if dst[i - 1] == src[j - 1] {
+                j -= 1;
+            }
+            i -= 1;
+            dst[w] = dst[i];
+        } else {
+            j -= 1;
+            dst[w] = src[j];
+        }
+    }
+    new
 }
 
 /// Maximal runs in a sorted distinct id list.

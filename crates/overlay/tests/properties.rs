@@ -61,6 +61,84 @@ fn view_and_model(n: usize, ids: &[u32]) -> (View, SeedBitmap) {
     (v, m)
 }
 
+/// Mirror of the view's promotion threshold: a sparse view holding
+/// more members than this leaves the sorted-id form.
+fn sparse_cap(n: usize) -> usize {
+    (n / 32).max(16)
+}
+
+/// `count` ids over `0..n`: a random scatter, or a contiguous block
+/// followed by scatter, so promotions reach both runs and the bitmap.
+fn scale_ids(n: usize, count: usize, block: bool, rng: &mut SimRng) -> Vec<u32> {
+    let mut ids = Vec::with_capacity(count);
+    if block {
+        let start = rng.gen_below(n as u64) as u32;
+        ids.extend((start..n as u32).take(count / 2));
+    }
+    while ids.len() < count {
+        ids.push(rng.gen_below(n as u64) as u32);
+    }
+    ids
+}
+
+fn view_of(n: usize, ids: &[u32]) -> View {
+    let mut v = View::empty(n);
+    for &i in ids {
+        v.insert(PeerId(i));
+    }
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Above `DENSE_START_MAX_N` views start sparse, so this is where the
+    /// merge-based sparse ∪ sparse path runs. With member counts drawn
+    /// around `sparse_cap(n)` the union stays sparse, crosses the cap
+    /// mid-merge, or meets an already-promoted side; in every case it
+    /// must be observably identical to inserting the other view's ids
+    /// one by one.
+    #[test]
+    fn sparse_union_matches_per_id_inserts(
+        n in 4097usize..200_000,
+        a_permille in 0usize..1500,
+        b_permille in 0usize..1500,
+        a_block in any::<bool>(),
+        b_block in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let cap = sparse_cap(n);
+        let a = view_of(n, &scale_ids(n, cap * a_permille / 1000, a_block, &mut rng));
+        let b = view_of(n, &scale_ids(n, cap * b_permille / 1000, b_block, &mut rng));
+        let mut merged = a.clone();
+        let mut stepwise = a.clone();
+        let want_new = b.iter().filter(|&p| stepwise.insert(p)).count();
+        prop_assert_eq!(merged.union_with(&b), want_new, "union growth");
+        prop_assert_eq!(merged.count(), stepwise.count());
+        prop_assert!(merged.iter().eq(stepwise.iter()), "iteration");
+        let probes = a.iter().chain(b.iter()).flat_map(|p| {
+            [p.0.saturating_sub(1), p.0, (p.0 + 1).min(n as u32 - 1)]
+        });
+        for i in probes.chain((0..64).map(|_| rng.gen_below(n as u64) as u32)) {
+            prop_assert_eq!(merged.contains(PeerId(i)), stepwise.contains(PeerId(i)), "contains({})", i);
+        }
+        let absent = stepwise.absent_count();
+        if absent > 0 {
+            let ks = (0..64).map(|_| rng.gen_index(absent)).chain([0, absent - 1]);
+            for k in ks {
+                prop_assert_eq!(merged.nth_absent(k), stepwise.nth_absent(k), "nth_absent({})", k);
+            }
+        }
+        prop_assert_eq!(wire::encoded_len(&merged), wire::encoded_len(&stepwise));
+        let (mut fm, mut fs) = (Vec::new(), Vec::new());
+        wire::encode_view(&merged, &mut fm);
+        wire::encode_view(&stepwise, &mut fs);
+        prop_assert_eq!(fm, fs, "wire frame");
+        prop_assert_eq!(merged.union_with(&b), 0, "idempotent");
+    }
+}
+
 proptest! {
     /// The adaptive view is observably identical to the seed bitmap:
     /// same insert novelty, count, membership, ascending iteration and

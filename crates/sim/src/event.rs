@@ -26,13 +26,27 @@
 //! Storage is a pair of parallel slabs indexed by `u32` slots — a hot
 //! slab of 24-byte scheduling keys (`time`, `seq`, intrusive `next`
 //! link) and a cold slab of payloads; a bucket is an intrusive
-//! singly-linked list (head/tail slot) threaded through the key slab
-//! and kept sorted by `(time, seq)`. Slots never move once allocated —
-//! inserts relink a few `u32`s — and every bucket walk, cursor scan,
-//! and rebuild streams through key cells only, so their cost is
-//! independent of the payload size and an insert touches the payload
-//! slab exactly once. An empty bucket costs 8 bytes, not an
-//! allocation. The overflow heap holds 24-byte keys only.
+//! singly-linked list (head/tail slot) threaded through the key slab.
+//! Slots never move once allocated — inserts relink a few `u32`s — and
+//! every bucket walk, cursor scan, and rebuild streams through key cells
+//! only, so their cost is independent of the payload size and an insert
+//! touches the payload slab exactly once. An empty bucket costs 8 bytes,
+//! not an allocation. The overflow heap holds 24-byte keys only.
+//!
+//! ## Lazily sorted buckets
+//!
+//! Only the cursor bucket — the one pops drain — is kept in
+//! `(time, seq)` order; a key arriving there out of order walks the list
+//! to its place. Any other bucket takes a key in O(1): at the tail when
+//! it is the bucket's latest, at the head when it precedes a sorted
+//! list's first key, and otherwise at the tail with the bucket flagged
+//! unsorted (the high bit of its `heads` entry). When the cursor moves
+//! onto a flagged bucket, the bucket is sorted once. This is the
+//! ladder-queue idea (Tang, Goh & Thng, TOMACS 2005): sort a bucket
+//! only when dequeue reaches it. Eager sorted insert made every
+//! out-of-order push walk its bucket, which at population scale — a
+//! calendar sized while the pending set was small, then holding 10⁵+
+//! keys a few hundred to a bucket — dominated the simulator's time.
 //!
 //! The bucket width is auto-tuned (power-of-two widths, so indexing is
 //! a shift) from the observed inter-pop gap and the density of the
@@ -47,15 +61,22 @@
 //! Pop always returns the globally least `(time, seq)` entry. The
 //! window spans at most `nb` consecutive slices, so each bucket holds
 //! at most one slice's worth of in-window events and the circular scan
-//! from the cursor visits slices in increasing time order; entries that
-//! land behind the window's start are clamped into the cursor bucket,
-//! where the sorted list still ranks them first; the overflow heap
-//! holds only times at or beyond the window end; and within a bucket
-//! the sorted list yields `(time, seq)` order — which for equal times
-//! is exactly FIFO insertion order. The total order is therefore
-//! identical to the reference heap's, bit for bit (property-tested in
-//! `tests/properties.rs`). Slot numbers index storage only and never
-//! participate in ordering.
+//! from the cursor visits slices in increasing time order. Pops take
+//! the head of the cursor bucket, and that list is sorted: the cursor
+//! only moves onto a bucket through `settle` (which sorts a flagged
+//! bucket before anything else can land in it — any key of the bucket
+//! names its slice, so finding it needs no order), `rebuild` (which
+//! re-files keys in sorted order, leaving no bucket flagged), or an
+//! empty queue; and every key linked into the cursor bucket afterwards
+//! is sorted-inserted. Entries that land behind the window's start are
+//! clamped into the cursor bucket, where the sorted list ranks them
+//! first; the overflow heap holds only times at or beyond the window
+//! end; and `(time, seq)` keys are distinct, so sorting a bucket yields
+//! one order whatever the algorithm — for equal times, exactly FIFO
+//! insertion order. The total order is therefore identical to the
+//! reference heap's, bit for bit (property-tested in
+//! `tests/properties.rs`, up to more than 2·10⁵ pending keys). Slot
+//! numbers index storage only and never participate in ordering.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -109,6 +130,12 @@ pub enum Event<M> {
 
 /// Sentinel slot: end of a bucket list / empty bucket.
 const NIL: u32 = u32::MAX;
+/// High bit of a `heads` entry: the bucket's list is out of
+/// `(time, seq)` order and is sorted when the cursor reaches it. Never
+/// set on the cursor bucket, so pops read its head unmasked. Slots stay
+/// below `NIL & !UNSORTED` (asserted where the slab grows), so a flagged
+/// head never reads as `NIL`.
+const UNSORTED: u32 = 1 << 31;
 
 /// The hot half of a slab slot: the scheduling key and the intrusive
 /// bucket-list link — everything a sorted-insert walk, a cursor scan,
@@ -192,7 +219,8 @@ pub struct EventQueue<M> {
     vals: Vec<Option<Event<M>>>,
     /// Free slab slots, reused LIFO (deterministic, cache-warm).
     free: Vec<u32>,
-    /// Bucket list heads (`NIL` = empty), circularly indexed.
+    /// Bucket list heads (`NIL` = empty), circularly indexed, with the
+    /// [`UNSORTED`] flag in the high bit of a non-empty entry.
     heads: Vec<u32>,
     /// Bucket list tails; meaningful only where `heads` is not `NIL`.
     tails: Vec<u32>,
@@ -200,6 +228,9 @@ pub struct EventQueue<M> {
     occ: Vec<u64>,
     /// Keys beyond the window `[base, base + nb·2^w_shift)`.
     overflow: BinaryHeap<Key>,
+    /// Reused buffer for sorting a flagged bucket (empty between
+    /// sorts; its capacity is the largest bucket sorted so far).
+    sort_buf: Vec<Key>,
     nb: usize,
     /// Bucket width is `1 << w_shift` nanoseconds.
     w_shift: u32,
@@ -224,6 +255,9 @@ pub struct EventQueue<M> {
     rebuilt_len: usize,
     /// Most events ever pending at once (sizing diagnostics).
     high_water: usize,
+    /// List nodes stepped over by sorted inserts into the cursor bucket.
+    #[cfg(test)]
+    walk_steps: u64,
 }
 
 impl<M> Default for EventQueue<M> {
@@ -236,6 +270,7 @@ impl<M> Default for EventQueue<M> {
             tails: vec![NIL; MIN_BUCKETS],
             occ: vec![0; MIN_BUCKETS.div_ceil(64)],
             overflow: BinaryHeap::new(),
+            sort_buf: Vec::new(),
             nb: MIN_BUCKETS,
             w_shift: DEFAULT_SHIFT,
             base: 0,
@@ -248,6 +283,8 @@ impl<M> Default for EventQueue<M> {
             gap_cnt: 0,
             rebuilt_len: 0,
             high_water: 0,
+            #[cfg(test)]
+            walk_steps: 0,
         }
     }
 }
@@ -294,6 +331,10 @@ impl<M> EventQueue<M> {
                 s
             }
             None => {
+                assert!(
+                    self.keys.len() < (NIL & !UNSORTED) as usize,
+                    "event slab full"
+                );
                 self.keys.push(NodeKey {
                     time: at,
                     seq,
@@ -344,6 +385,7 @@ impl<M> EventQueue<M> {
             return None;
         }
         let slot = self.heads[self.cursor];
+        debug_assert_eq!(slot & UNSORTED, 0, "cursor bucket flagged");
         let k = self.keys[slot as usize];
         let t = k.time;
         if t > limit {
@@ -426,7 +468,7 @@ impl<M> EventQueue<M> {
         let t = k.time.0;
         let i = if t < self.base {
             // Stale push, behind the cursor's slice: clamp into the
-            // cursor bucket, where the sorted order ranks it first.
+            // cursor bucket, whose sorted list ranks it first.
             self.cursor
         } else if (t - self.base) >> self.w_shift < self.nb as u64 {
             ((t >> self.w_shift) & (self.nb as u64 - 1)) as usize
@@ -437,46 +479,98 @@ impl<M> EventQueue<M> {
         self.link(i, k);
     }
 
-    /// Sorted-insert `k` into bucket `i`'s intrusive list. The common
-    /// push (latest key in its bucket) links at the tail in O(1);
-    /// out-of-order arrivals walk the list but move no data.
+    /// Link `k` into bucket `i`'s intrusive list. An in-order key
+    /// appends at the tail in O(1), and a key below the head of a
+    /// sorted list links at the head. Any other out-of-order key
+    /// appends too — flagging the bucket for a sort when the cursor
+    /// reaches it — unless `i` is the cursor bucket, which stays
+    /// sorted: there the key walks the list to its place, moving no
+    /// data.
     fn link(&mut self, i: usize, k: Key) {
         let ord = k.order();
-        let head = self.heads[i];
-        if head == NIL {
+        let slot = k.slot;
+        // Re-filed keys (rebuild, overflow migration) carry a stale link
+        // from their previous list; sever it.
+        self.keys[slot as usize].next = NIL;
+        if self.heads[i] == NIL {
             self.occ_set(i);
-            // Re-filed keys (rebuild, overflow migration) carry a stale
-            // link from their previous list; sever it.
-            self.keys[k.slot as usize].next = NIL;
-            self.heads[i] = k.slot;
-            self.tails[i] = k.slot;
+            self.heads[i] = slot;
+            self.tails[i] = slot;
         } else {
             let tail = self.tails[i];
             let tn = self.keys[tail as usize];
             if (tn.time, tn.seq) < ord {
-                self.keys[k.slot as usize].next = NIL;
-                self.keys[tail as usize].next = k.slot;
-                self.tails[i] = k.slot;
+                self.keys[tail as usize].next = slot;
+                self.tails[i] = slot;
+            } else if i != self.cursor {
+                let head = self.heads[i];
+                let below_head = head & UNSORTED == 0 && {
+                    let hn = self.keys[head as usize];
+                    ord < (hn.time, hn.seq)
+                };
+                if below_head {
+                    self.keys[slot as usize].next = head;
+                    self.heads[i] = slot;
+                } else {
+                    self.keys[tail as usize].next = slot;
+                    self.tails[i] = slot;
+                    self.heads[i] = head | UNSORTED;
+                }
             } else {
                 let mut prev = NIL;
-                let mut cur = head;
+                let mut cur = self.heads[i];
                 while cur != NIL {
                     let c = self.keys[cur as usize];
                     if (c.time, c.seq) > ord {
                         break;
                     }
+                    #[cfg(test)]
+                    {
+                        self.walk_steps += 1;
+                    }
                     prev = cur;
                     cur = c.next;
                 }
-                self.keys[k.slot as usize].next = cur;
+                self.keys[slot as usize].next = cur;
                 if prev == NIL {
-                    self.heads[i] = k.slot;
+                    self.heads[i] = slot;
                 } else {
-                    self.keys[prev as usize].next = k.slot;
+                    self.keys[prev as usize].next = slot;
                 }
             }
         }
         self.bucketed += 1;
+    }
+
+    /// Put the cursor bucket's list in `(time, seq)` order if appends
+    /// left it flagged. Keys are distinct, so the order is total and
+    /// the sort's result does not depend on the algorithm.
+    fn sort_cursor(&mut self) {
+        let i = self.cursor;
+        if self.heads[i] & UNSORTED == 0 {
+            return;
+        }
+        let mut run = std::mem::take(&mut self.sort_buf);
+        let mut cur = self.heads[i] & !UNSORTED;
+        while cur != NIL {
+            let n = self.keys[cur as usize];
+            run.push(Key {
+                time: n.time,
+                seq: n.seq,
+                slot: cur,
+            });
+            cur = n.next;
+        }
+        run.sort_unstable_by_key(|k| k.order());
+        for w in run.windows(2) {
+            self.keys[w[0].slot as usize].next = w[1].slot;
+        }
+        let (first, last) = (run[0].slot, run[run.len() - 1].slot);
+        self.keys[last as usize].next = NIL;
+        self.heads[i] = first;
+        self.tails[i] = last;
+        run.clear();
+        self.sort_buf = run;
     }
 
     /// Pull every overflow key that the (just-advanced) window now
@@ -559,9 +653,12 @@ impl<M> EventQueue<M> {
             // (one lap of the window), so the first occupied bucket
             // holds the earliest key; re-aim the window at its slice.
             let i = self.occ_next(self.cursor).expect("bucketed > 0");
-            let head_t = self.keys[self.heads[i] as usize].time.0;
+            // Any key of the bucket names its slice, sorted or not.
+            let head_t = self.keys[(self.heads[i] & !UNSORTED) as usize].time.0;
             self.aim_at(head_t);
             debug_assert_eq!(self.cursor, i, "head key outside its slice");
+            // Sort before overflow keys can land here by sorted insert.
+            self.sort_cursor();
         } else {
             // Buckets drained: jump the window to the earliest overflow
             // key (possibly re-tuning the width — order-neutral).
@@ -584,7 +681,7 @@ impl<M> EventQueue<M> {
         let mut scratch: Vec<Key> = Vec::with_capacity(self.len);
         let mut w = 0;
         while let Some(i) = self.occ_word_next(&mut w) {
-            let mut cur = self.heads[i];
+            let mut cur = self.heads[i] & !UNSORTED;
             while cur != NIL {
                 let n = self.keys[cur as usize];
                 scratch.push(Key {
@@ -798,6 +895,42 @@ mod tests {
         q.push(SimTime(0), timer_ev(999));
         assert_eq!(q.pop().map(|(t, e)| (t.0, tag_of(e))), Some((0, 999)));
         assert_eq!(q.pop().map(|(_, e)| tag_of(e)), Some(16));
+    }
+
+    /// An out-of-order push into a bucket the cursor has not reached
+    /// appends without walking its list; only the cursor bucket pays a
+    /// sorted-insert walk. Pop order is still exact.
+    #[test]
+    fn out_of_order_push_walks_only_the_cursor_bucket() {
+        let mut q = EventQueue::new();
+        // The default 131 µs width puts 0 in the cursor bucket and
+        // 950 µs..1 ms together in a later one.
+        q.push(SimTime(0), timer_ev(0));
+        q.push(SimTime(950_000), timer_ev(1));
+        q.push(SimTime(1_000_000), timer_ev(2));
+        let later = ((1_000_000u64 >> q.w_shift) & (q.nb as u64 - 1)) as usize;
+        assert_ne!(later, q.cursor, "test needs a non-cursor bucket");
+        assert_eq!(
+            later,
+            ((950_000u64 >> q.w_shift) & (q.nb as u64 - 1)) as usize
+        );
+        for i in 0..64u64 {
+            // Each key between the bucket's head and its tail, descending.
+            q.push(SimTime(1_000_000 - 1 - i), timer_ev(3 + i));
+        }
+        assert_eq!(q.walk_steps, 0, "non-cursor bucket walked its list");
+        assert_ne!(q.heads[later] & UNSORTED, 0, "bucket not flagged");
+        // Same shape into the cursor bucket walks (the counter is live).
+        q.push(SimTime(10), timer_ev(100));
+        q.push(SimTime(5), timer_ev(101));
+        assert!(q.walk_steps > 0);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| tag_of(e))
+            .collect();
+        let mut want = vec![0, 101, 100, 1];
+        want.extend((3..67).rev());
+        want.push(2);
+        assert_eq!(order, want);
     }
 
     #[test]

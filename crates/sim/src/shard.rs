@@ -103,6 +103,8 @@ pub struct ShardStats {
     pub cross_sent: u64,
     /// Events still pending in this shard's queue.
     pub pending_events: usize,
+    /// Most events ever pending at once in this shard's queue.
+    pub queue_high_water: usize,
     /// Deliveries clamped for violating the lookahead bound.
     pub clamped: u64,
 }
@@ -410,6 +412,7 @@ impl<M: SimMessage + Send> ShardedWorld<M> {
                 windows: lane.windows,
                 cross_sent: lane.cross_sent,
                 pending_events: w.pending_events(),
+                queue_high_water: w.stats().queue_high_water,
                 clamped: w.clamped_events(),
             })
             .collect()

@@ -95,6 +95,68 @@ fn check_against_reference(ops: &[(u8, u64)], mut time_of: impl FnMut(u64, u64) 
     }
 }
 
+/// Population-scale pin against a reference binary heap: wave bursts
+/// of keys at `now + lookahead + jitter`, pushed in random order with
+/// `pop_at_or_before(now)` interleaved, hold more than 2·10⁵ keys
+/// pending at once. That grows the calendar to its full bucket count
+/// and fills buckets the cursor has not reached with out-of-order keys
+/// — the regime the property pins above (a few hundred ops) never
+/// reach. A sliver of far keys keeps the overflow heap in play.
+#[test]
+fn calendar_matches_reference_heap_at_population_scale() {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    const WAVES: u64 = 40;
+    const BURST: u64 = 25_000;
+    const LOOKAHEAD: u64 = 1_000_000; // 1 ms
+    const JITTER: u64 = 20_000_000; // 20 ms
+    for seed in [3u64, 2024] {
+        let mut rng = SimRng::new(seed);
+        let mut q: EventQueue<()> = EventQueue::new();
+        let mut r: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut tag = 0u64;
+        let mut now = 0u64;
+        let check_pop = |q: &mut EventQueue<()>, r: &mut BinaryHeap<_>, limit: u64| {
+            let got = q.pop_at_or_before(SimTime(limit)).map(|(t, ev)| match ev {
+                Event::Timer { tag, .. } => (t.0, tag),
+                _ => unreachable!(),
+            });
+            let want = match r.peek() {
+                Some(&Reverse((t, _))) if t <= limit => r.pop().map(|Reverse(k)| k),
+                _ => None,
+            };
+            assert_eq!(got, want, "seed {seed}: pop_at_or_before({limit}) diverged");
+            got.is_some()
+        };
+        for _ in 0..WAVES {
+            for k in 0..BURST {
+                let t = if rng.gen_below(100) == 0 {
+                    now + 1_000_000_000 + rng.gen_below(4_000_000_000)
+                } else {
+                    now + LOOKAHEAD + rng.gen_below(JITTER)
+                };
+                q.push(SimTime(t), timer(tag));
+                r.push(Reverse((t, tag)));
+                tag += 1;
+                if k % 64 == 0 {
+                    check_pop(&mut q, &mut r, now);
+                }
+            }
+            now += LOOKAHEAD;
+            while check_pop(&mut q, &mut r, now) {}
+            assert_eq!(q.len(), r.len());
+        }
+        assert!(
+            q.high_water() >= 200_000,
+            "seed {seed}: only {} keys pending at peak",
+            q.high_water()
+        );
+        while check_pop(&mut q, &mut r, u64::MAX) {}
+        assert!(q.is_empty() && r.is_empty());
+    }
+}
+
 /// Build a sink from generated (counter-index, value) and
 /// (histogram-index, sample) pairs, drawn from a small shared name pool
 /// so sinks overlap on some slots and miss on others.

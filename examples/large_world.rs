@@ -57,21 +57,32 @@ fn main() {
         cfg.fanout
     );
     let start = Instant::now();
-    let (outcome, events, digest, stats, kind_bytes) = if shards <= 1 {
+    let (outcome, events, digest, stats, kind_bytes, high_water) = if shards <= 1 {
         let (outcome, world, _) = Session::new(cfg, protocol).run_with_world();
         let kinds = kind_bytes_of(world.metrics());
-        (outcome, world.events_dispatched(), None, Vec::new(), kinds)
+        let hw = world.stats().queue_high_water;
+        (
+            outcome,
+            world.events_dispatched(),
+            None,
+            Vec::new(),
+            kinds,
+            hw,
+        )
     } else {
         let (outcome, world, _) = Session::new(cfg, protocol)
             .shards(shards)
             .run_with_sharded_world();
         let kinds = kind_bytes_of(world.metrics());
+        let stats = world.shard_stats();
+        let hw = stats.iter().map(|s| s.queue_high_water).max().unwrap_or(0);
         (
             outcome,
             world.events_dispatched(),
             Some(world.event_digest()),
-            world.shard_stats(),
+            stats,
             kinds,
+            hw,
         )
     };
     let wall = start.elapsed().as_secs_f64();
@@ -85,6 +96,7 @@ fn main() {
     println!("stream complete     : {}", outcome.complete);
     println!("sync rounds         : {}", outcome.rounds);
     println!("events dispatched   : {events}");
+    println!("queue high-water    : {high_water} (largest shard)");
     // Three byte views of the same control traffic: the paper-model
     // cost (fixed bitmap formulas, keeps figures comparable), the
     // codec-exact bytes actually framed (adaptive views + deltas), and
@@ -131,8 +143,8 @@ fn main() {
         );
         for s in &stats {
             println!(
-                "  shard {:>2}: {:>8} actors, {:>10} events, {:>8} cross-sent",
-                s.shard, s.actors, s.dispatched, s.cross_sent
+                "  shard {:>2}: {:>8} actors, {:>10} events, {:>8} cross-sent, {:>8} queue high-water",
+                s.shard, s.actors, s.dispatched, s.cross_sent, s.queue_high_water
             );
         }
     }
