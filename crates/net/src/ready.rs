@@ -23,7 +23,7 @@
 //! scheme as the simulator's `TimerTable`.
 
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -34,8 +34,67 @@ use mss_sim::rng::SimRng;
 use mss_sim::time::{SimDuration, SimTime};
 use mss_sim::world::{Actor, Runtime, SimMessage};
 
-use crate::runtime::SessionControl;
 use crate::sys::EventFd;
+
+/// Shared shutdown/completion state for one live session: the watched
+/// task raises `done` the moment the session's completion condition
+/// holds (the leaf finished streaming), and the orchestrator waits on
+/// *done-or-deadline* instead of sleeping out the whole wall timeout.
+/// `stop` is the hard cutoff the poll loop and workers check.
+#[derive(Default)]
+pub(crate) struct SessionControl {
+    stop: AtomicBool,
+    done: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl SessionControl {
+    /// Raise the hard stop flag; hosting loops exit at their next check.
+    pub(crate) fn request_stop(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        // Wake an orchestrator still blocked in `wait_done`.
+        self.cv.notify_all();
+    }
+
+    /// True once `request_stop` has been called.
+    pub(crate) fn should_stop(&self) -> bool {
+        self.stop.load(Ordering::Relaxed)
+    }
+
+    /// Mark the completion condition as reached and wake the
+    /// orchestrator. Idempotent.
+    pub(crate) fn signal_done(&self) {
+        let mut done = self.done.lock().expect("session control poisoned");
+        if !*done {
+            *done = true;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until the session signals done or `timeout` elapses.
+    /// Returns true when completion (not the deadline) ended the wait.
+    pub(crate) fn wait_done(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut done = self.done.lock().expect("session control poisoned");
+        while !*done && !self.should_stop() {
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            let (guard, _) = self
+                .cv
+                .wait_timeout(done, deadline - now)
+                .expect("session control poisoned");
+            done = guard;
+        }
+        *done
+    }
+}
+
+/// Completion predicate evaluated against the watched task after each
+/// step that processed events; its first `true` raises
+/// [`SessionControl::signal_done`].
+pub(crate) type WatchFn = dyn Fn(&dyn Actor<Msg>) -> bool + Send + Sync;
 
 /// Events (messages + timers) one task may process per scheduling turn
 /// before it must yield the worker to other ready tasks.
@@ -145,7 +204,7 @@ type TimerEntry = std::cmp::Reverse<(u64, u32, u64, u64)>;
 
 /// A watched task: `(task index, completion predicate)`; the predicate
 /// raising true signals session done.
-pub(crate) type Watch = (u32, Box<crate::runtime::WatchFn>);
+pub(crate) type Watch = (u32, Box<WatchFn>);
 
 /// The session-wide timer plane: one min-heap of
 /// `(deadline_nanos, task, timer, tag)` drained by the poll thread,
@@ -317,8 +376,7 @@ impl Runtime<Msg> for RqRuntime<'_> {
 
 impl Scheduler {
     /// Build the task table. `actors[i]` becomes task `i` with actor id
-    /// `ActorId(i)`; RNG streams fork exactly as the thread-per-peer
-    /// host does, so protocol decisions match across runtimes.
+    /// `ActorId(i)` and its own RNG stream forked from `seed`.
     pub(crate) fn new(
         actors: Vec<Box<dyn Actor<Msg>>>,
         seed: u64,
@@ -622,7 +680,7 @@ mod tests {
 
     #[test]
     fn mailbox_and_timers_drive_a_task() {
-        let ctl = Arc::new(SessionControl::new());
+        let ctl = Arc::new(SessionControl::default());
         let sched = Scheduler::new(
             vec![Box::new(Echo { got: 0, timers: 0 })],
             1,

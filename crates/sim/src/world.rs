@@ -52,8 +52,9 @@ impl SimMessage for u64 {
 /// The capabilities an actor may use from whatever hosts it.
 ///
 /// The simulator's [`Ctx`] implements this over virtual time; the
-/// `mss-net` crate implements it over threads, channels/UDP sockets and
-/// the wall clock — the same actor state machines run unchanged on both.
+/// `mss-net` crate implements it over a ready-queue task scheduler,
+/// loopback UDP sockets and the wall clock — the same actor state
+/// machines run unchanged on both.
 pub trait Runtime<M: SimMessage> {
     /// The id of the actor currently running.
     fn id(&self) -> ActorId;

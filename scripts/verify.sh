@@ -54,12 +54,13 @@ cargo run --release -q -p mss-harness -- shardcheck >/dev/null
 
 echo "==> live-plane smoke (loopback UDP, time-bounded, mmsg + fallback)"
 # The ready-queue runtime's own tests host real loopback sessions
-# (DCoP, TCoP, the forced single-syscall fallback, and the ignored
-# n=5000 beyond-the-old-bitmap-cap smoke that only the adaptive view
-# codec makes hostable); `timeout` bounds the step so a wedged poll
-# loop fails the gate instead of hanging it. The MSS_NO_MMSG=1 pass
-# proves the sendmmsg/recvmmsg fallback stays live on kernels without
-# the batched syscalls.
+# (DCoP, TCoP, leaf-schedule, DCoP with injected loss + NACK repair,
+# and the ignored n=5000 beyond-the-old-bitmap-cap smoke that only the
+# adaptive view codec makes hostable); `timeout` bounds the step so a
+# wedged poll loop fails the gate instead of hanging it. The second
+# pass runs the same tests under MSS_NO_MMSG=1, which forces the
+# single-syscall fallback: it proves that path stays live on kernels
+# without sendmmsg/recvmmsg.
 timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \
     || { echo "verify.sh: live-plane smoke failed" >&2; exit 1; }
 MSS_NO_MMSG=1 timeout 300 cargo test --release -q -p mss-net --lib live -- --include-ignored \
